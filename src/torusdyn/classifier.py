@@ -37,6 +37,7 @@ from .maps import LiftedMap, isotopy_class, power
 from .rotation import (
     DEFAULT_THRESHOLDS,
     ShapeThresholds,
+    _segment_distance,
     mz_estimate,
     twist_rotation_interval,
 )
@@ -139,12 +140,6 @@ def area_budget(area: float) -> float:
     return math.sqrt(8.0 * area / math.sqrt(3.0))
 
 
-def _nearest_rational_value(x: float, max_q: int):
-    """Best rational p/q with q <= max_q close to x, or None."""
-    frac = Fraction(x).limit_denominator(max_q)
-    return frac
-
-
 def _segment_rational_point(shape, tol: float, max_q: int):
     """Search the classified segment for a rational point with both
     denominators bounded by max_q within tol of the segment."""
@@ -171,24 +166,11 @@ def _segment_rational_point(shape, tol: float, max_q: int):
                 cands.append((fx, fy))
     best = None
     for fx, fy in cands:
-        d = _point_segment_distance(
+        d = _segment_distance(
             (float(fx), float(fy)), (x0, y0), (x1, y1))
         if d <= tol and (best is None or d < best[2]):
             best = (fx, fy, d)
     return best
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    if den == 0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / den
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def _try_annulus_certificates(F: LiftedMap, params: ClassifyParams):
@@ -318,7 +300,7 @@ def classify(F: LiftedMap, params: ClassifyParams = None) -> Classification:
             return Classification(HYPERBOLIC, "TwistInterval",
                                   evidence, notes=notes, params=params)
         mid = 0.5 * (interval.low + interval.high)
-        frac = _nearest_rational_value(mid, params.max_q)
+        frac = Fraction(mid).limit_denominator(params.max_q)
         if abs(float(frac) - mid) <= params.eps_len:
             evidence["rational_value"] = str(frac)
             notes.append(

@@ -351,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true", help="write rotset.svg")
     p.add_argument("--cloud", action="store_true",
                    help="include the displacement cloud in the SVG")
-    p.add_argument("--seedless", action="store_true",
-                   help="reserved; all computations are deterministic")
     _add_common(p)
     p.set_defaults(func=cmd_rotset)
 
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--samples", type=int, default=24)
     p.add_argument("--thresholds", help="shape thresholds JSON file")
-    p.add_argument("--seedless", action="store_true",
-                   help="reserved; all computations are deterministic")
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 

@@ -24,7 +24,7 @@ from .errors import (
     NonGenericError,
     ResolutionError,
 )
-from .maps import LiftedMap, _egcd, evaluate_points, iterate_points, linear_part
+from .maps import LiftedMap, _egcd, _mat_mul, iterate_points, linear_part
 
 BBOX_PAD = 1e-9
 SNAP_DENOMINATOR = 10**9
@@ -481,16 +481,7 @@ def image_curve(
     A = ((1, 0), (0, 1))
     A1 = linear_part(F)
     for _ in range(int(n)):
-        A = (
-            (
-                A1[0][0] * A[0][0] + A1[0][1] * A[1][0],
-                A1[0][0] * A[0][1] + A1[0][1] * A[1][1],
-            ),
-            (
-                A1[1][0] * A[0][0] + A1[1][1] * A[1][0],
-                A1[1][0] * A[0][1] + A1[1][1] * A[1][1],
-            ),
-        )
+        A = _mat_mul(A1, A)
     w_img = (
         A[0][0] * c.w[0] + A[0][1] * c.w[1],
         A[1][0] * c.w[0] + A[1][1] * c.w[1],
@@ -505,10 +496,7 @@ def image_curve(
                     float(P[1]) * (1.0 - t) + float(Q[1]) * t,
                 )
             )
-    if n == 1:
-        mapped = evaluate_points(F, np.asarray(samples))
-    else:
-        mapped = iterate_points(F, np.asarray(samples), int(n))
+    mapped = iterate_points(F, np.asarray(samples), int(n))
 
     verts = []
     for x, y in mapped:

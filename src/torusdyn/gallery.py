@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denjoy  # noqa: F401  (registers the denjoy primitives)
-from .denjoy import GOLDEN_ALPHA, DenjoyFlow, DenjoyParabolic
+from .denjoy import DenjoyFlow, DenjoyParabolic
 from .errors import InputError
 from .maps import (
     CustomPrimitive,
@@ -175,8 +175,6 @@ _CATALOG = {
     "denjoy_irrational_flow": _denjoy_irrational_flow,
     "annulus_attractor": _annulus_attractor,
 }
-
-ALPHA = GOLDEN_ALPHA
 
 
 def gallery_names() -> list:

@@ -1,60 +1,8 @@
-"""Iteration backend selection.
+"""Name of the iteration engine, recorded in benchmark run records.
 
-Chains built from the standard primitives (translation, linear, shears
-and flows over the closed-form profiles) can be run by a compiled
-kernel.  Chains containing table profiles or custom primitives always
-run on the numpy path.  Set TORUSDYN_BACKEND=python to force the pure
-Python path.  Both backends reduce coordinates mod 1 before profile
-evaluation, so the deck group identities hold exactly within each
-backend; across backends orbits agree to transcendental-function
-roundoff.
+Every orbit runs on the numpy chain engine in ``maps``.
 """
-
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-try:
-    from . import _fastchain  # type: ignore
-except ImportError:  # pragma: no cover - depends on build environment
-    _fastchain = None
-
-_FORCED = os.environ.get("TORUSDYN_BACKEND", "").strip().lower()
 
 
 def backend_name() -> str:
-    if _FORCED == "python":
-        return "python"
-    if _FORCED == "compiled":
-        if _fastchain is None:
-            raise RuntimeError("compiled kernel requested but not built")
-        return "compiled"
-    return "compiled" if _fastchain is not None else "python"
-
-
-def encode_chain(F) -> np.ndarray | None:
-    """Encode a lifted map as a float table, or None if any primitive
-    lacks a compiled form."""
-    rows = []
-    for prim in F.primitives:
-        row = prim.encode()
-        if row is None:
-            return None
-        rows.append(row)
-    if F.deck_offset != (0, 0):
-        rows.append(
-            [0.0, float(F.deck_offset[0]), float(F.deck_offset[1])] + [0.0] * 7
-        )
-    if not rows:
-        rows.append([0.0] * 10)
-    return np.ascontiguousarray(rows, dtype=float)
-
-
-def run_compiled(P: np.ndarray, n: int, table: np.ndarray) -> int:
-    if _fastchain is None:
-        raise RuntimeError("compiled kernel is not available")
-    if not P.flags["C_CONTIGUOUS"]:
-        raise ValueError("points array must be C contiguous")
-    return _fastchain.iterate_chain(P, n, table)
+    return "python"

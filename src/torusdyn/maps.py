@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DivergenceError,
     InputError,
@@ -38,6 +37,13 @@ def _as_points(x) -> np.ndarray:
     return P
 
 
+def _finite(value, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite")
+    return x
+
+
 class Primitive:
     """Base primitive: acts on an (n, 2) array of lifted points."""
 
@@ -48,10 +54,6 @@ class Primitive:
 
     def linear(self) -> tuple:
         return IDENTITY_2X2
-
-    def encode(self):
-        """Row for the compiled kernel, or None if not encodable."""
-        return None
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -66,15 +68,13 @@ class Translation(Primitive):
     def __post_init__(self):
         if len(self.v) != 2:
             raise InputError("translation vector must have two entries")
-        object.__setattr__(self, "v", (float(self.v[0]), float(self.v[1])))
+        v = tuple(_finite(x, "translation vector") for x in self.v)
+        object.__setattr__(self, "v", v)
 
     def apply(self, P):
         P[:, 0] += self.v[0]
         P[:, 1] += self.v[1]
         return P
-
-    def encode(self):
-        return [0.0, self.v[0], self.v[1], 0, 0, 0, 0, 0, 0, 0]
 
     def to_json(self):
         return {"type": "translation", "v": list(self.v)}
@@ -112,38 +112,8 @@ class Linear(Primitive):
     def linear(self):
         return self.matrix
 
-    def encode(self):
-        (a, b), (c, d) = self.matrix
-        return [1.0, a, b, c, d, 0, 0, 0, 0, 0]
-
     def to_json(self):
         return {"type": "linear", "matrix": [list(r) for r in self.matrix]}
-
-
-PROFILE_CODES = {
-    "sin2": 0,
-    "triangle": 1,
-    "bump": 2,
-    "plateau": 3,
-    "coordinate": 4,
-    "ramp": 5,
-}
-
-
-def _profile_row(profile: Profile):
-    code = PROFILE_CODES.get(profile.kind)
-    if code is None:
-        return None
-    p = profile.params()
-    if profile.kind == "bump":
-        q = [p["a"], p["b"], 0, 0]
-    elif profile.kind == "plateau":
-        q = [p["l0"], p["l1"], p["r1"], p["r0"]]
-    elif profile.kind == "ramp":
-        q = [p["lo"], p["hi"], 0, 0]
-    else:
-        q = [0, 0, 0, 0]
-    return [float(code)] + [float(v) for v in q]
 
 
 @dataclass(frozen=True)
@@ -157,9 +127,10 @@ class ShearX(Primitive):
     type_name = "shear_x"
 
     def __post_init__(self):
-        if self.profile.degree == 1 and int(self.strength) != self.strength:
+        strength = _finite(self.strength, "shear strength")
+        if self.profile.degree == 1 and int(strength) != strength:
             raise InputError("degree one shear profile needs integer strength")
-        object.__setattr__(self, "strength", float(self.strength))
+        object.__setattr__(self, "strength", strength)
 
     def apply(self, P):
         fl = np.floor(P[:, 1])
@@ -173,12 +144,6 @@ class ShearX(Primitive):
         if self.profile.degree == 1:
             return ((1, int(self.strength)), (0, 1))
         return IDENTITY_2X2
-
-    def encode(self):
-        row = _profile_row(self.profile)
-        if row is None:
-            return None
-        return [2.0, self.strength] + row + [float(self.profile.degree), 0, 0]
 
     def to_json(self):
         return {
@@ -198,9 +163,10 @@ class ShearY(Primitive):
     type_name = "shear_y"
 
     def __post_init__(self):
-        if self.profile.degree == 1 and int(self.strength) != self.strength:
+        strength = _finite(self.strength, "shear strength")
+        if self.profile.degree == 1 and int(strength) != strength:
             raise InputError("degree one shear profile needs integer strength")
-        object.__setattr__(self, "strength", float(self.strength))
+        object.__setattr__(self, "strength", strength)
 
     def apply(self, P):
         fl = np.floor(P[:, 0])
@@ -214,12 +180,6 @@ class ShearY(Primitive):
         if self.profile.degree == 1:
             return ((1, 0), (int(self.strength), 1))
         return IDENTITY_2X2
-
-    def encode(self):
-        row = _profile_row(self.profile)
-        if row is None:
-            return None
-        return [3.0, self.strength] + row + [float(self.profile.degree), 0, 0]
 
     def to_json(self):
         return {
@@ -241,18 +201,12 @@ class VerticalFlow(Primitive):
     def __post_init__(self):
         if self.field.degree != 0:
             raise InputError("vertical flow field must be a degree 0 profile")
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _finite(self.time, "flow time"))
 
     def apply(self, P):
         fl = np.floor(P[:, 0])
         P[:, 1] += self.time * self.field.values(P[:, 0] - fl)
         return P
-
-    def encode(self):
-        row = _profile_row(self.field)
-        if row is None:
-            return None
-        return [4.0, self.time] + row + [0, 0, 0]
 
     def to_json(self):
         return {
@@ -399,15 +353,6 @@ def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
         Q = F.primitives[0].iterate_points(P, int(n))
         _check_divergence(Q)
         return Q
-
-    table = kernels.encode_chain(F)
-    if table is not None and kernels.backend_name() == "compiled":
-        status = kernels.run_compiled(P, int(n), table)
-        if status != 0:
-            raise DivergenceError(
-                f"orbit exceeded the overflow guard {DIVERGENCE_GUARD:g}"
-            )
-        return P
 
     for _ in range(int(n)):
         P = _apply_chain(F, P)
@@ -590,18 +535,13 @@ class CyclicLift:
     curve_class: tuple
     power: int
 
-    def eval_points(self, P: np.ndarray) -> np.ndarray:
-        Q = evaluate_points(self.base, P)
-        Q[:, 0] -= np.floor(Q[:, 0])
-        return Q
-
     def iterate_points(self, points, n: int) -> np.ndarray:
         P = _as_points(points)
         P[:, 0] -= np.floor(P[:, 0])
         for _ in range(int(n)):
-            P = self.eval_points(P)
-            if float(np.max(np.abs(P[:, 1]))) > DIVERGENCE_GUARD:
-                raise DivergenceError("cyclic cover orbit exceeded the guard")
+            P = _apply_chain(self.base, P)
+            P[:, 0] -= np.floor(P[:, 0])
+            _check_divergence(P)
         return P
 
 

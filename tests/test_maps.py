@@ -8,6 +8,7 @@ from torusdyn.maps import (
     Linear,
     LiftedMap,
     ShearX,
+    ShearY,
     Translation,
     VerticalFlow,
     compose,
@@ -23,7 +24,7 @@ from torusdyn.maps import (
     map_from_json,
     power,
 )
-from torusdyn.profiles import Sin2
+from torusdyn.profiles import Coordinate, Sin2
 
 
 def shear_map(strength=1.0):
@@ -172,21 +173,36 @@ def test_cyclic_lift_vertical_twist_class():
     assert np.all(np.isfinite(out))
 
 
-def test_backends_agree_for_encodable_chain():
-    from torusdyn import kernels
+@pytest.mark.parametrize("n", [1, 3])
+def test_cyclic_lift_non_finite_orbit_raises_divergence(n):
+    # two huge translations overflow x to inf, which the mod 1
+    # reduction turns into NaN while y stays finite
+    F = LiftedMap((
+        Linear(((1, 1), (0, 1))),
+        Translation((1e308, 0.0)),
+        Translation((1e308, 0.0)),
+    ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            iterate_points(F, [[0.1, 0.2]], n)
+        with pytest.raises(DivergenceError):
+            cyclic_lift(F).iterate_points([[0.1, 0.2]], n)
 
-    F = LiftedMap((ShearX(Sin2(), 0.9), Translation((0.05, 0.1))))
-    P = np.random.RandomState(0).rand(50, 2)
-    table = kernels.encode_chain(F)
-    if table is None or kernels.backend_name() != "compiled":
-        pytest.skip("compiled backend unavailable")
-    fast = iterate_points(F, P.copy(), 50)
-    import os
 
-    # force the pure python path through the environment knob
-    os.environ["TORUSDYN_BACKEND"] = "python"
-    try:
-        slow = iterate_points(F, P.copy(), 50)
-    finally:
-        del os.environ["TORUSDYN_BACKEND"]
-    assert np.allclose(fast, slow, atol=1e-9)
+@pytest.mark.parametrize("make", [
+    lambda bad: Translation((bad, 0.0)),
+    lambda bad: Translation((0.0, bad)),
+    lambda bad: ShearX(Sin2(), bad),
+    lambda bad: ShearY(Sin2(), bad),
+    lambda bad: ShearY(Coordinate(), bad),
+    lambda bad: VerticalFlow(Sin2(), bad),
+    # json.loads accepts the literals NaN and Infinity
+    lambda bad: map_from_json(
+        {"primitives": [{"type": "translation", "v": [bad, 0]}]}),
+], ids=["translation_x", "translation_y", "shear_x", "shear_y",
+        "shear_y_degree_one", "vertical_flow", "map_from_json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(make, bad):
+    with pytest.raises(InputError):
+        make(bad)
+
