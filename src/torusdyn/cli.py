@@ -16,14 +16,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .classifier import ClassifyParams, classify
 from .curves import crossing_number, intersection_count, read_curve
-from .errors import InputError, TorusDynError
+from .errors import InputError, NonGenericError, TorusDynError
 from .fine_graph import (
-    curve_to_json,
     farey_lower_bound,
     upper_bound_by_intersection,
     verify_certificate,
@@ -256,7 +254,8 @@ def cmd_distance(args) -> int:
     lower = farey_lower_bound(a, b)
     path = upper_bound_by_intersection(a, b)
     if not path.verify():
-        raise InputError("internal error: surgery path failed validation")
+        raise NonGenericError(
+            "internal error: surgery path failed validation")
     out = _outdir(args)
     cert = path.to_json_dict()
     _dump_json(os.path.join(out, "certificate.json"), cert)

@@ -5,7 +5,9 @@ v_0 ... v_{k-1} in R^2 plus the integer closing displacement w, so the
 chain continues with v_0 + w.  The displacement is the homology class.
 All predicates (simplicity, intersection, crossing numbers) are decided
 in exact rational arithmetic over integer deck translates, with a float
-bounding box prefilter that only prunes, never decides.
+bounding box prefilter that only prunes, never decides.  Every predicate
+runs on one enumeration of segment contacts, and intersection records
+carry the cyclic parameter of the point on both curves.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     NonGenericError,
     ResolutionError,
 )
-from .maps import LiftedMap, _egcd, _mat_mul, iterate_points, linear_part
+from .maps import LiftedMap, _mat_mul, iterate_points, linear_part
 
 BBOX_PAD = 1e-9
 SNAP_DENOMINATOR = 10**9
@@ -198,6 +200,24 @@ def _translate_seg(seg, z):
     )
 
 
+def _contacts(segs_a, segs_b=None):
+    """Yield (i, j, z, kind, pt) for every non-empty contact of
+    segs_a[i] with segs_b[j] + z, kind and pt as in _seg_contact.
+
+    Without segs_b, the self-contacts of segs_a: (i, j, z) and
+    (j, i, -z) describe the same segment pair, so only i < j, or i == j
+    with z > (0, 0), is tested."""
+    own = segs_b is None
+    if own:
+        segs_b = segs_a
+    for i, j, z in _pair_candidates(segs_a, segs_b):
+        if own and (i > j or (i == j and z <= (0, 0))):
+            continue
+        kind, pt = _seg_contact(*segs_a[i], *_translate_seg(segs_b[j], z))
+        if kind != "none":
+            yield i, j, z, kind, pt
+
+
 # ---------------------------------------------------------------------------
 # simplicity
 
@@ -207,14 +227,7 @@ def is_simple(c: PLCurve) -> bool:
     segs = c.segments
     k = len(segs)
     w = c.w
-    for i, j, z in _pair_candidates(segs, segs):
-        # (i, j, z) and (j, i, -z) describe the same segment pair; keep
-        # one representative and skip a segment against itself
-        if i > j or (i == j and z <= (0, 0)):
-            continue
-        kind, pt = _seg_contact(*segs[i], *_translate_seg(segs[j], z))
-        if kind == "none":
-            continue
+    for i, j, z, kind, pt in _contacts(segs):
         if kind == "overlap":
             return False
         allowed = False
@@ -244,42 +257,29 @@ def _canonical_point(pt):
     return (x - math.floor(x), y - math.floor(y))
 
 
-def _local_rays(c: PLCurve, pt):
-    """Directions (d_in, d_out) of the curve branch through the torus
-    point pt (canonical representative).  Assumes the curve is simple,
-    so there is exactly one branch."""
-    segs = c.segments
-    k = len(segs)
-    hits = []
-    for idx, (P, Q) in enumerate(segs):
-        zx_lo = math.ceil(min(P[0], Q[0]) - pt[0])
-        zx_hi = math.floor(max(P[0], Q[0]) - pt[0])
-        zy_lo = math.ceil(min(P[1], Q[1]) - pt[1])
-        zy_hi = math.floor(max(P[1], Q[1]) - pt[1])
-        for zx in range(zx_lo, zx_hi + 1):
-            for zy in range(zy_lo, zy_hi + 1):
-                T = (pt[0] + zx, pt[1] + zy)
-                if T == P:
-                    continue  # counted as the previous segment's endpoint
-                d = _cross3(P, Q, T)
-                if d != 0:
-                    continue
-                axis = 0 if abs(Q[0] - P[0]) >= abs(Q[1] - P[1]) else 1
-                lo, hi = sorted((P[axis], Q[axis]))
-                if not lo <= T[axis] <= hi:
-                    continue
-                d_in = (Q[0] - P[0], Q[1] - P[1])
-                if T == Q:
-                    nP, nQ = segs[(idx + 1) % k]
-                    d_out = (nQ[0] - nP[0], nQ[1] - nP[1])
-                else:
-                    d_out = d_in
-                hits.append((d_in, d_out))
-    if len(hits) != 1:
-        raise NonGenericError(
-            f"expected one curve branch through {pt}, found {len(hits)}"
-        )
-    return hits[0]
+def _param(segs, i, pt):
+    """Cyclic parameter (in [0, k)) of the point pt of segs[i]: integer
+    part the segment index, fractional part the position.  The end of a
+    segment is parameter 0 of the next one."""
+    P, Q = segs[i]
+    axis = 0 if abs(Q[0] - P[0]) >= abs(Q[1] - P[1]) else 1
+    t = (pt[axis] - P[axis]) / (Q[axis] - P[axis])
+    if t == 1:
+        return Fraction((i + 1) % len(segs))
+    return i + t
+
+
+def _rays(segs, param):
+    """Directions (d_in, d_out) of the curve through the point at the
+    cyclic parameter; at a vertex they are the directions of the
+    previous and the current segment."""
+    idx = math.floor(param)
+    P, Q = segs[idx]
+    d_out = (Q[0] - P[0], Q[1] - P[1])
+    if param != idx:
+        return d_out, d_out
+    P, Q = segs[idx - 1]
+    return (Q[0] - P[0], Q[1] - P[1]), d_out
 
 
 def _in_left_sector(a_plus, a_minus, u) -> bool:
@@ -297,27 +297,38 @@ def _in_left_sector(a_plus, a_minus, u) -> bool:
 
 @dataclass(frozen=True)
 class Intersection:
+    """A torus intersection point with its cyclic parameter on each of
+    the two curves (see _param)."""
+
     point: tuple
     transverse: bool
+    param_a: Fraction
+    param_b: Fraction
 
 
 def intersections(a: PLCurve, b: PLCurve) -> list:
     """All torus intersection points of two simple curves, each flagged
-    transverse or touching.  Overlapping subsegments raise
-    NonGenericError."""
+    transverse or touching.  Overlapping subsegments, and a point that
+    either curve passes through twice, raise NonGenericError."""
     segs_a = a.segments
     segs_b = b.segments
-    points = set()
-    for i, j, z in _pair_candidates(segs_a, segs_b):
-        kind, pt = _seg_contact(*segs_a[i], *_translate_seg(segs_b[j], z))
+    params = {}  # canonical point -> (parameters on a, parameters on b)
+    for i, j, z, kind, pt in _contacts(segs_a, segs_b):
         if kind == "overlap":
             raise NonGenericError("curves share a subsegment")
-        if kind == "point":
-            points.add(_canonical_point(pt))
+        on_a, on_b = params.setdefault(_canonical_point(pt), (set(), set()))
+        on_a.add(_param(segs_a, i, pt))
+        on_b.add(_param(segs_b, j, (pt[0] - z[0], pt[1] - z[1])))
     out = []
-    for pt in sorted(points):
-        a_in, a_out = _local_rays(a, pt)
-        b_in, b_out = _local_rays(b, pt)
+    for pt in sorted(params):
+        for on in params[pt]:
+            if len(on) != 1:
+                raise NonGenericError(
+                    f"expected one curve branch through {pt}, found {len(on)}"
+                )
+        (param_a,), (param_b,) = params[pt]
+        a_in, a_out = _rays(segs_a, param_a)
+        b_in, b_out = _rays(segs_b, param_b)
         a_plus = a_out
         a_minus = (-a_in[0], -a_in[1])
         r1 = (-b_in[0], -b_in[1])
@@ -325,7 +336,7 @@ def intersections(a: PLCurve, b: PLCurve) -> list:
         transverse = _in_left_sector(a_plus, a_minus, r1) != _in_left_sector(
             a_plus, a_minus, r2
         )
-        out.append(Intersection(pt, transverse))
+        out.append(Intersection(pt, transverse, param_a, param_b))
     return out
 
 
@@ -370,21 +381,13 @@ def straight_class_intersection(u, v) -> int:
 # crossing number
 
 
-def _complement_vector(w):
-    g, x, y = _egcd(w[0], w[1])
-    if g != 1:
-        raise InapplicableError("base curve class must be primitive")
-    # det(w, wp) = w0*x + w1*y = 1
-    return (-y, x)
-
-
-def crossing_number(a: PLCurve, b: PLCurve, validate: bool = True) -> int:
+def crossing_number(a: PLCurve, b: PLCurve) -> int:
     """Number of distinct elevations of a met by one period of a lift
     of b in the plane.
 
     Elevations of a are indexed by deck translates modulo the cyclic
     group generated by the class of a.  Requires transverse crossings;
-    touching contacts raise NonGenericError when validate is set.
+    touching contacts raise NonGenericError.
     """
     if not is_essential_class(a.w):
         raise InapplicableError("crossing number needs an essential base curve")
@@ -402,25 +405,22 @@ def crossing_number(a: PLCurve, b: PLCurve, validate: bool = True) -> int:
             return 0
         lo, hi = sorted((h0, h0 + step))
         return max(0, math.floor(hi) - math.ceil(lo) + 1)
-    if validate:
-        for isec in intersections(a, b):
-            if not isec.transverse:
-                raise NonGenericError(
-                    f"touching contact at {isec.point}; crossing number "
-                    "needs transverse intersections"
-                )
+    for isec in intersections(a, b):
+        if not isec.transverse:
+            raise NonGenericError(
+                f"touching contact at {isec.point}; crossing number "
+                "needs transverse intersections"
+            )
+    # segs_a[i] meets segs_b[j] + z exactly when the elevation of a
+    # through segs_a[i] - z meets segs_b[j]; intersections() has already
+    # ruled out overlaps
     w = a.w
-    segs_a = a.segments
-    segs_b = b.segments
-    cosets = set()
-    for j, i, z in _pair_candidates(segs_b, segs_a):
-        # contact between segs_a[i] + z and segs_b[j]
-        kind, _ = _seg_contact(*_translate_seg(segs_a[i], z), *segs_b[j])
-        if kind == "overlap":
-            raise NonGenericError("curves share a subsegment")
-        if kind == "point":
-            cosets.add(w[0] * z[1] - w[1] * z[0])
-    return len(cosets)
+    return len(
+        {
+            w[1] * z[0] - w[0] * z[1]
+            for _, _, z, _, _ in _contacts(a.segments, b.segments)
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ homology classes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
@@ -58,35 +58,7 @@ def adjacent(a: PLCurve, b: PLCurve) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# locating points along a curve
-
-
-def _param_of(c: PLCurve, pt):
-    """Cyclic parameter (in [0, k)) of the torus point on the curve:
-    integer part the segment index, fractional part the position."""
-    segs = c.segments
-    for idx, (P, Q) in enumerate(segs):
-        zx_lo = math.ceil(min(P[0], Q[0]) - pt[0])
-        zx_hi = math.floor(max(P[0], Q[0]) - pt[0])
-        zy_lo = math.ceil(min(P[1], Q[1]) - pt[1])
-        zy_hi = math.floor(max(P[1], Q[1]) - pt[1])
-        for zx in range(zx_lo, zx_hi + 1):
-            for zy in range(zy_lo, zy_hi + 1):
-                T = (pt[0] + zx, pt[1] + zy)
-                if T == Q:
-                    continue  # parameter 0 of the next segment
-                d = (Q[0] - P[0]) * (T[1] - P[1]) - (Q[1] - P[1]) * (
-                    T[0] - P[0]
-                )
-                if d != 0:
-                    continue
-                axis = 0 if abs(Q[0] - P[0]) >= abs(Q[1] - P[1]) else 1
-                lo, hi = sorted((P[axis], Q[axis]))
-                if not lo <= T[axis] <= hi:
-                    continue
-                t = (T[axis] - P[axis]) / (Q[axis] - P[axis])
-                return Fraction(idx) + t
-    raise NonGenericError(f"point {pt} not found on curve")
+# points along a curve, by cyclic parameter
 
 
 def _point_at(c: PLCurve, param: Fraction):
@@ -188,19 +160,18 @@ class SurgeryStep:
     new_count: int
 
 
-def _surgery_candidates(a: PLCurve, b: PLCurve, points):
+def _surgery_candidates(a: PLCurve, b: PLCurve, pts):
     """Candidate surgered closed chains: an innermost subarc of a
-    joined with one of the two complementary arcs of b."""
-    params_a = sorted((_param_of(a, p), p) for p in points)
+    joined with one of the two complementary arcs of b, for the
+    intersection records pts of a and b."""
+    along_a = sorted((p.param_a, p.param_b) for p in pts)
     ka, kb = len(a.verts), len(b.verts)
-    for i in range(len(params_a)):
-        s_par, p_pt = params_a[i]
-        e_par, q_pt = params_a[(i + 1) % len(params_a)]
-        if (i + 1) % len(params_a) == 0 or e_par <= s_par:
+    for i in range(len(along_a)):
+        s_par, p_b = along_a[i]
+        e_par, q_b = along_a[(i + 1) % len(along_a)]
+        if (i + 1) % len(along_a) == 0 or e_par <= s_par:
             e_par = e_par + ka
         a_chain = _arc_chain(a, s_par, e_par)
-        p_b = _param_of(b, p_pt)
-        q_b = _param_of(b, q_pt)
         fwd_pq = q_b if q_b > p_b else q_b + kb
         fwd_qp = p_b if p_b > q_b else p_b + kb
         arcs = [
@@ -248,8 +219,7 @@ def surgery_step(a: PLCurve, b: PLCurve) -> SurgeryStep:
         [v.denominator for c in (a, b) for pt in c.verts for v in pt]
     )
     delta0 = Fraction(1, 4 * max_den)
-    points = [p.point for p in pts]
-    for gamma in _surgery_candidates(a, b, points):
+    for gamma in _surgery_candidates(a, b, pts):
         delta = delta0
         for _ in range(MAX_DELTA_HALVINGS):
             for side in (1, -1):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import denjoy  # noqa: F401  (registers the denjoy primitives)
 from .denjoy import DenjoyFlow, DenjoyParabolic
 from .errors import InputError
 from .maps import (

@@ -335,10 +335,15 @@ def _check_divergence(P: np.ndarray) -> None:
         )
 
 
-def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
-    """n-fold iteration of the lift on an (n_pts, 2) array."""
+def _iteration_count(n) -> int:
     if n < 0 or int(n) != n:
         raise InputError("iteration count must be a non-negative integer")
+    return int(n)
+
+
+def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
+    """n-fold iteration of the lift on an (n_pts, 2) array."""
+    n = _iteration_count(n)
     P = _as_points(points)
     if n == 0:
         return P
@@ -350,11 +355,11 @@ def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
         and F.primitives[0].iterate_points is not None
         and F.deck_offset == (0, 0)
     ):
-        Q = F.primitives[0].iterate_points(P, int(n))
+        Q = F.primitives[0].iterate_points(P, n)
         _check_divergence(Q)
         return Q
 
-    for _ in range(int(n)):
+    for _ in range(n):
         P = _apply_chain(F, P)
         _check_divergence(P)
     return P
@@ -536,9 +541,10 @@ class CyclicLift:
     power: int
 
     def iterate_points(self, points, n: int) -> np.ndarray:
+        n = _iteration_count(n)
         P = _as_points(points)
         P[:, 0] -= np.floor(P[:, 0])
-        for _ in range(int(n)):
+        for _ in range(n):
             P = _apply_chain(self.base, P)
             P[:, 0] -= np.floor(P[:, 0])
             _check_divergence(P)

@@ -10,7 +10,7 @@ convergence diagnostics give the evidence that the classifier consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -7,6 +7,7 @@ import pytest
 
 from torusdyn.cli import main
 from torusdyn.curves import straight_curve, write_curve
+from torusdyn.fine_graph import CertifiedPath
 
 
 def run(capsys, *argv):
@@ -113,6 +114,22 @@ def test_distance_and_verify_round_trip(tmp_path, capsys):
     assert code == 0
     assert stdout.strip() == "pass"
     assert read_json(os.path.join(out, "verify.json"))["valid"]
+
+
+def test_distance_path_failing_its_own_check_exits_4(
+        tmp_path, capsys, monkeypatch):
+    """A surgery path that fails verify() is an invalid certificate of
+    the tool's own making, not an input error."""
+    monkeypatch.setattr(CertifiedPath, "verify", lambda self: False)
+    fa = curve_file(tmp_path, "a.json", (1, 0))
+    fb = curve_file(tmp_path, "b.json", (1, 2), base=("1/7", "1/11"))
+    out = str(tmp_path / "o")
+    code, _, stderr = run(
+        capsys, "distance", "--curve-a", fa, "--curve-b", fb,
+        "--out", out)
+    assert code == 4
+    assert json.loads(stderr)["error"] == "NonGenericError"
+    assert not os.path.exists(os.path.join(out, "certificate.json"))
 
 
 def test_verify_tampered_certificate_fails(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import brute_crossing_number, random_simple_curve  # noqa: E402
 
+from torusdyn.cli import main as cli_main  # noqa: E402
 from torusdyn.errors import (  # noqa: E402
     InputError,
     MalformedCurveError,
@@ -32,7 +34,9 @@ from torusdyn.curves import (  # noqa: E402
     same_straight_curve,
     straight_curve,
     vertical_circle,
+    write_curve,
 )
+from torusdyn.fine_graph import _point_at  # noqa: E402
 
 F12 = Fraction(1, 2)
 F14 = Fraction(1, 4)
@@ -185,3 +189,74 @@ def test_image_curve_transversality_retry():
     F = build_map("shear_segment").map
     b = image_curve(F, a, res=16, reference=a)
     assert all(i.transverse for i in intersections(b, a))
+
+
+def _reduced(pt):
+    return (pt[0] - math.floor(pt[0]), pt[1] - math.floor(pt[1]))
+
+
+def test_intersection_params_locate_the_point():
+    rng = random.Random(202)
+    checked = 0
+    while checked < 40:
+        a = random_simple_curve(rng, is_simple, PLCurve)
+        b = random_simple_curve(rng, is_simple, PLCurve)
+        try:
+            pts = intersections(a, b)
+        except NonGenericError:
+            continue
+        for p in pts:
+            assert _reduced(_point_at(a, p.param_a)) == p.point
+            assert _reduced(_point_at(b, p.param_b)) == p.point
+            assert 0 <= p.param_a < len(a.verts)
+            assert 0 <= p.param_b < len(b.verts)
+        checked += 1
+
+
+# a horizontal zigzag with its peak at (1/2, 1/4), and a vertical zigzag
+# through that peak; each is listed from two different first vertices
+F34 = Fraction(3, 4)
+PEAK = (F12, F14)
+ZIGZAG_PEAK_SECOND = PLCurve(((0, 0), PEAK), (1, 0))
+ZIGZAG_PEAK_FIRST = PLCurve((PEAK, (1, 0)), (1, 0))
+VERTICAL_PEAK_SECOND = PLCurve(((F34, -F14), PEAK), (0, 1))
+VERTICAL_PEAK_FIRST = PLCurve((PEAK, (F34, F34)), (0, 1))
+
+
+@pytest.mark.parametrize("a, b, param", [
+    (ZIGZAG_PEAK_SECOND, VERTICAL_PEAK_SECOND, 1),
+    # the peak is the closing vertex v_0 + w of both curves
+    (ZIGZAG_PEAK_FIRST, VERTICAL_PEAK_FIRST, 0),
+], ids=["inner_vertex", "closing_vertex"])
+def test_intersection_params_at_vertices(a, b, param):
+    (p,) = intersections(a, b)
+    assert p.point == PEAK
+    assert p.transverse
+    assert (p.param_a, p.param_b) == (param, param)
+    assert _reduced(_point_at(a, p.param_a)) == PEAK
+    assert _reduced(_point_at(b, p.param_b)) == PEAK
+
+
+# a class (1, 0) chain whose first and last edges cross at (1/3, 2/9)
+SELF_CROSSING = PLCurve(((0, 0), (F34, F12), (F14, F14)), (1, 0))
+
+
+def test_self_crossing_curve_rejected():
+    v = vertical_circle(Fraction(1, 3))
+    for a, b in ((SELF_CROSSING, v), (v, SELF_CROSSING)):
+        with pytest.raises(NonGenericError, match="one curve branch"):
+            intersections(a, b)
+        with pytest.raises(NonGenericError, match="one curve branch"):
+            crossing_number(a, b)
+
+
+def test_self_crossing_curve_cli_exit_code(tmp_path, capsys):
+    fa = str(tmp_path / "a.txt")
+    fb = str(tmp_path / "b.txt")
+    write_curve(fa, SELF_CROSSING)
+    write_curve(fb, vertical_circle(Fraction(1, 3)))
+    for x, y in ((fa, fb), (fb, fa)):
+        code = cli_main(["crossing", "--curve-a", x, "--curve-b", y,
+                         "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "one curve branch" in capsys.readouterr().err

@@ -189,6 +189,15 @@ def test_cyclic_lift_non_finite_orbit_raises_divergence(n):
             cyclic_lift(F).iterate_points([[0.1, 0.2]], n)
 
 
+@pytest.mark.parametrize("n", [-1, 2.7])
+def test_bad_iteration_count_rejected(n):
+    F = LiftedMap((Linear(((1, 1), (0, 1))),))
+    with pytest.raises(InputError, match="non-negative integer"):
+        iterate_points(F, [[0.1, 0.2]], n)
+    with pytest.raises(InputError, match="non-negative integer"):
+        cyclic_lift(F).iterate_points([[0.1, 0.2]], n)
+
+
 @pytest.mark.parametrize("make", [
     lambda bad: Translation((bad, 0.0)),
     lambda bad: Translation((0.0, bad)),
