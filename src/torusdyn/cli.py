@@ -50,6 +50,20 @@ def _artifact(config: dict, payload: dict) -> dict:
     return out
 
 
+def _read_json(path, what):
+    """Parse a JSON input file; unreadable or malformed files are input
+    errors naming what the file should hold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"malformed {what} JSON at line {exc.lineno} column "
+            f"{exc.colno}: {exc.msg}")
+
+
 def _parse_gallery_params(items) -> dict:
     params = {}
     for item in items or []:
@@ -71,15 +85,7 @@ def _load_map(args):
         entry = build_map(args.gallery, **params)
         return entry.map, {"gallery": args.gallery, "params": params}
     if getattr(args, "map", None):
-        try:
-            with open(args.map, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read map spec: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"malformed map spec JSON at line {exc.lineno} column "
-                f"{exc.colno}: {exc.msg}")
+        spec = _read_json(args.map, "map spec")
         return map_from_json(spec), {"map": args.map, "spec": spec}
     raise InputError("either --gallery or --map is required")
 
@@ -87,15 +93,7 @@ def _load_map(args):
 def _load_thresholds(path) -> ShapeThresholds:
     if path is None:
         return ShapeThresholds()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read thresholds: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"malformed thresholds JSON at line {exc.lineno} column "
-            f"{exc.colno}: {exc.msg}")
+    data = _read_json(path, "thresholds")
     try:
         return ShapeThresholds(**data)
     except TypeError as exc:
@@ -272,15 +270,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_verify_certificate(args) -> int:
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read certificate: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"malformed certificate JSON at line {exc.lineno} column "
-            f"{exc.colno}: {exc.msg}")
+    cert = _read_json(args.certificate, "certificate")
     report = verify_certificate(cert)
     out = _outdir(args)
     _dump_json(os.path.join(out, "verify.json"),

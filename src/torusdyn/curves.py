@@ -86,9 +86,6 @@ class PLCurve:
             tuple((x + dx, y + dy) for x, y in self.verts), self.w
         )
 
-    def to_float_array(self) -> np.ndarray:
-        return np.asarray([[float(x), float(y)] for x, y in self.verts])
-
 
 def homology_class(c: PLCurve) -> tuple:
     return c.w
@@ -244,10 +241,6 @@ def is_simple(c: PLCurve) -> bool:
     return True
 
 
-def is_essential(c: PLCurve) -> bool:
-    return is_essential_class(c.w) and is_simple(c)
-
-
 # ---------------------------------------------------------------------------
 # torus intersections with transversality
 
@@ -310,10 +303,15 @@ def intersections(a: PLCurve, b: PLCurve) -> list:
     """All torus intersection points of two simple curves, each flagged
     transverse or touching.  Overlapping subsegments, and a point that
     either curve passes through twice, raise NonGenericError."""
-    segs_a = a.segments
-    segs_b = b.segments
+    segs_a, segs_b = a.segments, b.segments
+    return _records(segs_a, segs_b, _contacts(segs_a, segs_b))
+
+
+def _records(segs_a, segs_b, contacts) -> list:
+    """The intersection records of the contacts of segs_a with segs_b
+    (as yielded by _contacts), one per torus point."""
     params = {}  # canonical point -> (parameters on a, parameters on b)
-    for i, j, z, kind, pt in _contacts(segs_a, segs_b):
+    for i, j, z, kind, pt in contacts:
         if kind == "overlap":
             raise NonGenericError("curves share a subsegment")
         on_a, on_b = params.setdefault(_canonical_point(pt), (set(), set()))
@@ -369,14 +367,6 @@ def same_straight_curve(a: PLCurve, b: PLCurve) -> bool:
     return Fraction(h0).denominator == 1
 
 
-def straight_class_intersection(u, v) -> int:
-    """Minimal intersection number of the straight curves in classes u
-    and v: the absolute homological pairing."""
-    if not (is_essential_class(tuple(u)) and is_essential_class(tuple(v))):
-        raise InputError("classes must be primitive and nonzero")
-    return abs(u[0] * v[1] - u[1] * v[0])
-
-
 # ---------------------------------------------------------------------------
 # crossing number
 
@@ -405,22 +395,19 @@ def crossing_number(a: PLCurve, b: PLCurve) -> int:
             return 0
         lo, hi = sorted((h0, h0 + step))
         return max(0, math.floor(hi) - math.ceil(lo) + 1)
-    for isec in intersections(a, b):
+    segs_a, segs_b = a.segments, b.segments
+    contacts = list(_contacts(segs_a, segs_b))
+    for isec in _records(segs_a, segs_b, contacts):
         if not isec.transverse:
             raise NonGenericError(
                 f"touching contact at {isec.point}; crossing number "
                 "needs transverse intersections"
             )
     # segs_a[i] meets segs_b[j] + z exactly when the elevation of a
-    # through segs_a[i] - z meets segs_b[j]; intersections() has already
+    # through segs_a[i] - z meets segs_b[j]; _records() has already
     # ruled out overlaps
     w = a.w
-    return len(
-        {
-            w[1] * z[0] - w[0] * z[1]
-            for _, _, z, _, _ in _contacts(a.segments, b.segments)
-        }
-    )
+    return len({w[1] * z[0] - w[0] * z[1] for _, _, z, _, _ in contacts})
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .curves import (
 from .errors import (
     InapplicableError,
     InputError,
+    MalformedCurveError,
     NonGenericError,
 )
 from .maps import _egcd
@@ -150,14 +151,13 @@ def _offset_curve(c: PLCurve, delta: Fraction, side: int) -> PLCurve:
 
 @dataclass(frozen=True)
 class SurgeryStep:
-    """One surgery: the replaced curve, the middle curve adjacent to
-    both old and new, and the new curve with fewer crossings of the
-    target."""
+    """One surgery: the middle curve adjacent to both the replaced and
+    the new curve, the new curve with fewer crossings of the target, and
+    the intersection records of the target with the new curve."""
 
     middle: PLCurve
     result: PLCurve
-    old_count: int
-    new_count: int
+    points: list
 
 
 def _surgery_candidates(a: PLCurve, b: PLCurve, pts):
@@ -199,17 +199,17 @@ def _surgery_candidates(a: PLCurve, b: PLCurve, pts):
                     verts.append(pt)
             try:
                 gamma = PLCurve(tuple(verts), w)
-            except Exception:
+            except MalformedCurveError:
                 continue
             if not is_simple(gamma):
                 continue
             yield gamma
 
 
-def surgery_step(a: PLCurve, b: PLCurve) -> SurgeryStep:
+def surgery_step(a: PLCurve, b: PLCurve, pts) -> SurgeryStep:
     """Replace b by a pushed-off surgered curve crossing a strictly
-    fewer times, together with a middle curve adjacent to both."""
-    pts = intersections(a, b)
+    fewer times, together with a middle curve adjacent to both; pts is
+    intersections(a, b)."""
     if any(not p.transverse for p in pts):
         raise NonGenericError("surgery needs transverse intersections")
     n0 = len(pts)
@@ -228,14 +228,14 @@ def surgery_step(a: PLCurve, b: PLCurve) -> SurgeryStep:
                     mid = _offset_curve(gamma, delta / 2, side)
                     if not (is_simple(new) and is_simple(mid)):
                         continue
-                    n1 = len(intersections(a, new))
-                    if n1 >= n0:
+                    new_pts = intersections(a, new)
+                    if len(new_pts) >= n0:
                         continue
                     if not adjacent(b, mid):
                         continue
                     if not adjacent(mid, new):
                         continue
-                    return SurgeryStep(mid, new, n0, n1)
+                    return SurgeryStep(mid, new, new_pts)
                 except NonGenericError:
                     continue
             delta = delta / 2
@@ -311,10 +311,10 @@ def upper_bound_by_intersection(a: PLCurve, b: PLCurve) -> CertifiedPath:
     path = [b]
     cur = b
     budget = 2 * i0 + 2
-    while len(intersections(a, cur)) > 1:
-        step = surgery_step(a, cur)
+    while len(pts) > 1:
+        step = surgery_step(a, cur, pts)
         path.extend([step.middle, step.result])
-        cur = step.result
+        cur, pts = step.result, step.points
         if len(path) - 1 > budget:
             raise NonGenericError("surgery exceeded the certified budget")
     if cur.verts != a.verts or cur.w != a.w:

@@ -103,9 +103,6 @@ class ConvexRegion:
         ys = [p[1] for p in self.vertices]
         return (sum(xs) / len(xs), sum(ys) / len(ys))
 
-    def contains(self, point, slack: float = 1e-12) -> bool:
-        return point_region_distance(point, self) <= slack
-
     def to_json_dict(self):
         return {"vertices": [[p[0], p[1]] for p in self.vertices]}
 

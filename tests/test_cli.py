@@ -188,3 +188,55 @@ def test_gallery_list_and_build(tmp_path, capsys):
     spec = read_json(os.path.join(out, "translation.map.json"))
     flat = json.dumps(spec)
     assert "0.25" in flat
+
+
+def map_file(tmp_path, primitive):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"primitives": [primitive], "deck_offset": [0, 0]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, source, code, error", [
+    ("rotset", ("--gallery", "anosov"), 3, "InapplicableError"),
+    ("classify", {"type": "linear", "matrix": [[0, 1], [1, 0]]}, 3,
+     "UnsupportedMapError"),
+    ("rotset", {"type": "translation", "v": [1e14, 0]}, 5,
+     "DivergenceError"),
+], ids=["inapplicable", "unsupported_map", "divergence"])
+def test_error_exit_codes(tmp_path, capsys, command, source, code, error):
+    if isinstance(source, dict):
+        source = ("--map", map_file(tmp_path, source))
+    out = str(tmp_path / "o")
+    got, _, stderr = run(
+        capsys, command, *source, "-n", "100", "--grid", "8",
+        "--out", out)
+    assert got == code
+    assert json.loads(stderr)["error"] == error
+
+
+# the command line reading each kind of JSON input, without the file
+READERS = {
+    "map spec": ("classify", "--map"),
+    "thresholds": ("rotset", "--gallery", "translation", "-n", "10",
+                   "--grid", "4", "--thresholds"),
+    "certificate": ("verify-certificate",),
+}
+
+
+@pytest.mark.parametrize("kind", ["map spec", "thresholds", "certificate"])
+@pytest.mark.parametrize("broken", ["missing", "malformed"])
+def test_json_inputs_unreadable_or_malformed(tmp_path, capsys, kind, broken):
+    path = tmp_path / "input.json"
+    if broken == "malformed":
+        path.write_text('{"a": 1,\n  "b": [')
+        prefix = f"malformed {kind} JSON at line 2 column "
+    else:
+        prefix = f"cannot read {kind}: "
+    out = str(tmp_path / "o")
+    code, _, stderr = run(
+        capsys, *READERS[kind], str(path), "--out", out)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    assert err["message"].startswith(prefix)

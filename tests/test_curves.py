@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import brute_crossing_number, random_simple_curve  # noqa: E402
 
+from torusdyn import curves  # noqa: E402
 from torusdyn.cli import main as cli_main  # noqa: E402
 from torusdyn.errors import (  # noqa: E402
     InputError,
@@ -123,6 +124,23 @@ def test_crossing_parallel_disjoint():
     a = horizontal_circle(F12)
     b = horizontal_circle(F14)
     assert crossing_number(a, b) == 0
+
+
+def test_crossing_number_enumerates_contacts_once(monkeypatch):
+    """The transversality check and the coset count share one contact
+    enumeration."""
+    a = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))
+    b = straight_curve((1, 3), (Fraction(1, 7), Fraction(0)))
+    calls = []
+    enumerate_contacts = curves._contacts
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_contacts(*args)
+
+    monkeypatch.setattr(curves, "_contacts", counted)
+    assert crossing_number(a, b) == brute_crossing_number(a, b) == 3
+    assert len(calls) == 1
 
 
 def test_crossing_oracle_random_pairs():

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import farey_oracle_distance, random_simple_curve  # noqa: E402
 
+from torusdyn import fine_graph  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
     PLCurve,
     horizontal_circle,
@@ -68,10 +69,30 @@ def test_surgery_step_reduces_intersections():
     a = straight_curve((0, 1), (Fraction(1, 3), Fraction(0)))
     b = straight_curve((2, 1), (Fraction(1, 7), Fraction(1, 11)))
     n0 = len(intersections(a, b))
-    step = surgery_step(a, b)
+    step = surgery_step(a, b, intersections(a, b))
     assert len(intersections(a, step.result)) < n0
+    assert step.points == intersections(a, step.result)
     assert adjacent(step.middle, b)
     assert adjacent(step.middle, step.result)
+
+
+def test_surgery_rounds_enumerate_each_pair_once(monkeypatch):
+    """Each surgery round hands its intersection list to the next, so
+    no pair of curves has its intersections computed twice."""
+    a = straight_curve((0, 1), (Fraction(1, 3), Fraction(0)))
+    b = straight_curve((3, 2), (Fraction(1, 7), Fraction(1, 11)))
+    pairs = []  # holds the curves, so their ids stay distinct
+    compute = fine_graph.intersections
+
+    def counted(x, y):
+        pairs.append((x, y))
+        return compute(x, y)
+
+    monkeypatch.setattr(fine_graph, "intersections", counted)
+    path = upper_bound_by_intersection(a, b)
+    assert path.length > 3  # more than one surgery round
+    ids = [(id(x), id(y)) for x, y in pairs]
+    assert len(ids) == len(set(ids))
 
 
 def test_certified_path_random_pairs():

@@ -1,14 +1,17 @@
-"""Every module-level import of the package is used.
+"""Every module-level import and every function of the package is used.
 
-No linter runs on the package, so this scan stands in for the unused
-import check: a name bound by a module-level import must appear as a
-name somewhere in the module.  __init__.py re-exports and is skipped.
+No linter runs on the package, so these scans stand in for the unused
+import and dead code checks.  A name bound by a module-level import must
+appear as a name somewhere in the module; __init__.py re-exports and is
+skipped.  A module-level function or a method must be referred to
+somewhere in the package, the tests or the benchmark.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "torusdyn"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "torusdyn"
 
 
 def unused_imports(path: Path) -> list:
@@ -28,3 +31,49 @@ def test_no_unused_module_imports():
     assert modules
     unused = [u for p in modules for u in unused_imports(p)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def defined_functions(tree) -> list:
+    """Module-level functions and non-dunder methods."""
+    names = []
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        names += [
+            f.name for f in body
+            if isinstance(f, ast.FunctionDef)
+            and not (f.name.startswith("__") and f.name.endswith("__"))
+        ]
+    return names
+
+
+def referenced_names(tree) -> set:
+    """Names, attributes, imported names and string constants; the
+    benchmark's tracer names the functions it wraps by string."""
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs.add(n.value)
+    return refs
+
+
+def test_no_unreferenced_functions():
+    modules = sorted(PACKAGE.glob("*.py"))
+    sources = [p for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert modules and sources
+    refs = set()
+    for p in sources:
+        refs |= referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+    dead = [
+        f"{p.name}: {name}"
+        for p in modules
+        for name in defined_functions(ast.parse(p.read_text(encoding="utf-8")))
+        if name not in refs
+    ]
+    assert not dead, "unreferenced functions: " + ", ".join(dead)
