@@ -399,8 +399,7 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
         entry = CrossCheckEntry(n)
         try:
             b = image_curve(F, a, res=res, reference=a, n=n)
-            entry.farey = (farey_distance(a.w, b.w)
-                           if b.w != a.w else 0)
+            entry.farey = farey_distance(a.w, b.w)
             if same_straight_curve(a, b):
                 entry.crossing = 1
                 entry.intersections = 0

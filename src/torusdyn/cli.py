@@ -6,8 +6,9 @@ additionally writes the hull CSV and an optional SVG plot) into the
 output directory, echoes its configuration into every artifact and is
 byte-deterministic across runs with identical arguments.
 
-Exit codes: 0 success, 2 input error, 3 inapplicable route, 4 non
-generic geometry, 5 divergence.
+Exit codes: 0 success, 2 input error, 3 inapplicable route or
+unsupported map, 4 non-generic geometry, resolution failure or invalid
+certificate, 5 divergence.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .errors import (
 from .maps import _egcd
 
 MAX_DELTA_HALVINGS = 12
-FAREY_DEPTH_CAP = 128
 
 
 # ---------------------------------------------------------------------------
@@ -349,62 +348,31 @@ def farey_adjacent(u, v) -> bool:
     return abs(u[0] * v[1] - u[1] * v[0]) == 1
 
 
-def _farey_neighbors_toward(v, target):
-    """Neighbour candidates of v whose direction brackets the target.
-
-    All neighbours of v form one family r0 + k v up to sign; a
-    geodesic step must stay in the slope corridor of the target, so a
-    small window of k around the bracketing value suffices.
-    """
-    p, q = v
-    g, x, y = _egcd(p, q)
-    r0, s0 = -y, x  # det((p, q), (r0, s0)) = 1
-    tp, tq = target
-    den = p * tq - q * tp
-    if den == 0:
-        k_star = 0
-    else:
-        k_star = (s0 * tp - r0 * tq) // den
-    out = set()
-    for k in range(k_star - 3, k_star + 4):
-        out.add(farey_class((r0 + k * p, s0 + k * q)))
-    return out
-
-
 def farey_distance(u, v) -> int:
-    """Graph distance in the Farey graph, by bidirectional search with
-    corridor-pruned neighbour generation."""
+    """Graph distance in the Farey graph, exactly, by the ladder dynamic
+    program of geodesic continued fractions (Beardon, Hockman and
+    Short, "Geodesic continued fractions", Michigan Math. J. 61, 2012).
+
+    The SL(2, Z) matrix ((x, y), (-u1, u0)) sends u to 1/0 and v to p/q
+    with q > 0.  The convergents c[k] of p/q = [a0; a1, ..., an] form a
+    ladder from c[-1] = 1/0, at distance 0, and c[0] = a0, at distance 1.
+    The fan of triangles on c[k] runs from c[k-1] to c[k+1] in a[k+1]
+    edges, and a geodesic reaches c[k+1] from c[k] or along that fan, so
+    d[k+1] = min(d[k] + 1, d[k-1] + a[k+1]) and the answer is d[n]."""
     u, v = farey_class(u), farey_class(v)
     if u == v:
         return 0
-    side_u = {u: 0}
-    side_v = {v: 0}
-    frontier_u = [u]
-    frontier_v = [v]
-    for depth in range(FAREY_DEPTH_CAP):
-        if len(frontier_u) <= len(frontier_v):
-            frontier, dist, other, target = frontier_u, side_u, side_v, v
-        else:
-            frontier, dist, other, target = frontier_v, side_v, side_u, u
-        new_frontier = []
-        best = None
-        for node in frontier:
-            for nb in _farey_neighbors_toward(node, target):
-                if nb in other:
-                    cand = dist[node] + 1 + other[nb]
-                    best = cand if best is None else min(best, cand)
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    new_frontier.append(nb)
-        if best is not None:
-            return best
-        if frontier is frontier_u:
-            frontier_u = new_frontier
-        else:
-            frontier_v = new_frontier
-        if not new_frontier:
-            break
-    raise NonGenericError("Farey search exceeded its depth cap")
+    _, x, y = _egcd(*u)
+    p, q = x * v[0] + y * v[1], u[0] * v[1] - u[1] * v[0]
+    if q < 0:
+        p, q = -p, -q
+    d_prev, d = 0, 1
+    p, q = q, p % q
+    while q:
+        a, r = divmod(p, q)
+        d_prev, d = d, min(d + 1, d_prev + a)
+        p, q = q, r
+    return d
 
 
 def farey_lower_bound(a: PLCurve, b: PLCurve) -> int:
@@ -483,7 +451,7 @@ def translation_length_bounds(
             up = crossing_number(a, bn) + 1
         else:
             up = 2 * intersection_count(a, bn) + 2
-        low = farey_distance(a.w, bn.w) if bn.w != a.w else 0
+        low = farey_distance(a.w, bn.w)
         entries.append(LengthBoundEntry(n, up, low))
         upper = min(upper, up / n)
         lower = max(lower, low / n)

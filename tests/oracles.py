@@ -24,6 +24,11 @@ def _on_segment(p, q, r):
 
 def segments_touch(a0, a1, b0, b1) -> bool:
     """Closed segments share at least one point (exact)."""
+    if (max(a0[0], a1[0]) < min(b0[0], b1[0])
+            or max(b0[0], b1[0]) < min(a0[0], a1[0])
+            or max(a0[1], a1[1]) < min(b0[1], b1[1])
+            or max(b0[1], b1[1]) < min(a0[1], a1[1])):
+        return False  # disjoint bounding boxes
     d1 = _orient(a0, a1, b0)
     d2 = _orient(a0, a1, b1)
     d3 = _orient(b0, b1, a0)

@@ -1,6 +1,7 @@
 """Tests for the isometry type classifier and the cross check report."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from torusdyn.classifier import (
     classify,
     cross_check,
 )
-from torusdyn.curves import straight_curve
+from torusdyn.curves import PLCurve, straight_curve
 from torusdyn.errors import InputError
 from torusdyn.gallery import build_map, gallery_names
 from torusdyn.maps import LiftedMap, Translation, conjugate
@@ -153,3 +154,11 @@ def test_cross_check_rejects_bad_iterates():
         cross_check(F, a, [])
     with pytest.raises(InputError):
         cross_check(F, a, [0, 1])
+
+
+def test_cross_check_rejects_an_inessential_probe():
+    # a null-homotopic probe is no Farey vertex, so it has no Farey distance
+    q = Fraction(1, 4)
+    square = PLCurve(((q, q), (2 * q, q), (2 * q, 2 * q), (q, 2 * q)), (0, 0))
+    with pytest.raises(InputError):
+        cross_check(build_map("anosov").map, square, [1])

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from torusdyn.fine_graph import (  # noqa: E402
     verify_certificate,
 )
 from torusdyn.gallery import build_map  # noqa: E402
-from torusdyn.maps import Linear, LiftedMap, Translation  # noqa: E402
+from torusdyn.maps import Linear, LiftedMap, Translation, _egcd  # noqa: E402
 
 F12 = Fraction(1, 2)
 F14 = Fraction(1, 4)
@@ -165,6 +167,60 @@ def test_farey_distance_against_oracle_samples():
         done += 1
 
 
+SL2Z_GENERATORS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)))
+
+
+def _primitive_class(rng, bound=30):
+    while True:
+        w = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if math.gcd(*w) == 1:
+            return w
+
+
+def _apply(M, w):
+    return (M[0][0] * w[0] + M[0][1] * w[1], M[1][0] * w[0] + M[1][1] * w[1])
+
+
+def test_farey_distance_sl2z_invariant_and_symmetric():
+    rng = random.Random(7)
+    for _ in range(300):
+        u, v = _primitive_class(rng), _primitive_class(rng)
+        d = farey_distance(u, v)
+        assert farey_distance(v, u) == d
+        for M in rng.choices(SL2Z_GENERATORS, k=rng.randint(1, 12)):
+            u, v = _apply(M, u), _apply(M, v)
+        assert farey_distance(u, v) == d
+
+
+def test_farey_distance_triangle_inequality():
+    rng = random.Random(8)
+    for _ in range(300):
+        u, v, w = (_primitive_class(rng) for _ in range(3))
+        assert farey_distance(u, w) <= farey_distance(u, v) + farey_distance(v, w)
+
+
+def test_farey_distance_moves_by_one_along_an_edge():
+    rng = random.Random(9)
+    for _ in range(300):
+        u, v = _primitive_class(rng), _primitive_class(rng)
+        _, x, y = _egcd(*u)
+        k = rng.randint(-5, 5)
+        nb = (-y + k * u[0], x + k * u[1])
+        assert farey_adjacent(u, nb)
+        assert abs(farey_distance(nb, v) - farey_distance(u, v)) <= 1
+
+
+def test_farey_distance_anosov_orbit():
+    # the cat map moves (1, 0) one Farey step further per iterate; the
+    # distances stay exact far beyond any bounded search
+    start = time.perf_counter()
+    w = (1, 0)
+    for n in range(1, 201):
+        w = _apply(((2, 1), (1, 1)), w)
+        assert farey_distance((1, 0), w) == n
+    assert time.perf_counter() - start < 1.0
+
+
 def test_farey_lower_bound_matches_classes():
     a = horizontal_circle(F12)
     b = straight_curve((1, 2), (Fraction(1, 7), Fraction(0)))
@@ -185,6 +241,12 @@ def test_translation_length_bounds_translation_zero():
     tb = translation_length_bounds(F, a, 4)
     assert tb.lower == 0.0
     assert tb.upper <= 1.0
+
+
+def test_translation_length_bounds_rejects_an_inessential_curve():
+    square = PLCurve(((F14, F14), (F12, F14), (F12, F12), (F14, F12)), (0, 0))
+    with pytest.raises(InputError):
+        translation_length_bounds(build_map("anosov").map, square, 2)
 
 
 def test_annulus_trap_positive_and_negative():

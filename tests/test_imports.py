@@ -77,3 +77,16 @@ def test_no_unreferenced_functions():
         if name not in refs
     ]
     assert not dead, "unreferenced functions: " + ", ".join(dead)
+
+
+def test_oracles_import_nothing_from_the_package():
+    """The reference implementations share no code with the package."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    bad = [m for m in modules if m.split(".")[0] == "torusdyn"]
+    assert not bad, "oracles.py imports " + ", ".join(bad)
