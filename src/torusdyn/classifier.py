@@ -21,6 +21,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .curves import (
+    crossing_number,
+    image_curve,
+    intersection_count,
+    same_straight_curve,
+)
 from .errors import (
     DivergenceError,
     InapplicableError,
@@ -382,13 +388,6 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
     crossing numbers above crossing_cap (default 2 max(ns) + 2) is
     flagged, a hyperbolic verdict with zero Farey growth is flagged.
     """
-    from .curves import (
-        crossing_number,
-        image_curve,
-        intersection_count,
-        same_straight_curve,
-    )
-
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
         raise InputError("iterate counts must be positive")

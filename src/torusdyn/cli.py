@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -112,8 +113,6 @@ def _hull_csv(path: str, hull) -> None:
 def _write_svg(path: str, hull, cloud=None) -> None:
     """Fixed 800x800 viewport: unit gridlines, hull polygon, optional
     displacement cloud.  Identical output modulo the version comment."""
-    import math
-
     xs = [v[0] for v in hull.vertices] + [0.0, 1.0]
     ys = [v[1] for v in hull.vertices] + [0.0, 1.0]
     if cloud is not None and len(cloud):

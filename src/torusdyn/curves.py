@@ -26,7 +26,7 @@ from .errors import (
     NonGenericError,
     ResolutionError,
 )
-from .maps import LiftedMap, _mat_mul, iterate_points, linear_part
+from .maps import LiftedMap, Linear, Translation, _mat_mul, iterate_points, linear_part
 
 BBOX_PAD = 1e-9
 SNAP_DENOMINATOR = 10**9
@@ -357,7 +357,12 @@ def _is_straight(c: PLCurve) -> bool:
 
 
 def same_straight_curve(a: PLCurve, b: PLCurve) -> bool:
-    """Whether two straight curves are the same subset of the torus."""
+    """Whether two straight curves are the same subset of the torus.
+
+    Both classes must be primitive and nonzero: straightness is measured
+    along the class, so every null-homotopic curve would pass."""
+    if not (is_essential_class(a.w) and is_essential_class(b.w)):
+        raise InputError("straight curve comparison needs essential classes")
     if not (_is_straight(a) and _is_straight(b)):
         return False
     if _cross2(a.w, b.w) != 0:
@@ -450,7 +455,6 @@ def image_curve(
     c: PLCurve,
     res: int = 16,
     reference: PLCurve = None,
-    snap_denominator: int = SNAP_DENOMINATOR,
     n: int = 1,
 ) -> PLCurve:
     """Simple PL approximation of the image of the curve under the
@@ -487,8 +491,8 @@ def image_curve(
 
     verts = []
     for x, y in mapped:
-        fx = Fraction(float(x)).limit_denominator(snap_denominator)
-        fy = Fraction(float(y)).limit_denominator(snap_denominator)
+        fx = Fraction(float(x)).limit_denominator(SNAP_DENOMINATOR)
+        fy = Fraction(float(y)).limit_denominator(SNAP_DENOMINATOR)
         if verts and verts[-1] == (fx, fy):
             continue  # snap collision, drop the duplicate
         verts.append((fx, fy))
@@ -542,15 +546,12 @@ def image_curve(
 def affine_image_curve(F: LiftedMap, c: PLCurve) -> PLCurve:
     """Exact image of a curve under a chain of linear and translation
     primitives.  Raises InapplicableError for other primitives."""
-    from .maps import Linear as _Linear
-    from .maps import Translation as _Translation
-
     verts = list(c.verts)
     for prim in F.primitives:
-        if isinstance(prim, _Linear):
+        if isinstance(prim, Linear):
             (a, b), (d, e) = prim.matrix
             verts = [(a * x + b * y, d * x + e * y) for x, y in verts]
-        elif isinstance(prim, _Translation):
+        elif isinstance(prim, Translation):
             tx, ty = Fraction(prim.v[0]), Fraction(prim.v[1])
             verts = [(x + tx, y + ty) for x, y in verts]
         else:

@@ -225,7 +225,7 @@ class DenjoyParabolic(CustomPrimitive):
             return dc.to_torus(fl, x, t_out)
         return np.column_stack([x, t_out])
 
-    def eval_points(self, P: np.ndarray) -> np.ndarray:
+    def apply(self, P: np.ndarray) -> np.ndarray:
         return self.iterate_points(P, 1)
 
 
@@ -318,7 +318,7 @@ class DenjoyFlow(CustomPrimitive):
         t_out = m + theta
         return dc.to_torus(fl, x0, t_out)
 
-    def eval_points(self, P: np.ndarray) -> np.ndarray:
+    def apply(self, P: np.ndarray) -> np.ndarray:
         return self.iterate_points(P, 1)
 
 

@@ -14,9 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .curves import (
     PLCurve,
+    affine_image_curve,
     crossing_number,
+    image_curve,
     intersection_count,
     intersections,
     is_essential_class,
@@ -29,7 +33,7 @@ from .errors import (
     MalformedCurveError,
     NonGenericError,
 )
-from .maps import _egcd
+from .maps import _egcd, isotopy_class, iterate_points, map_from_json, power
 
 MAX_DELTA_HALVINGS = 12
 
@@ -324,11 +328,6 @@ def upper_bound_by_intersection(a: PLCurve, b: PLCurve) -> CertifiedPath:
     return cp
 
 
-def crossing_upper_bound(a: PLCurve, b: PLCurve) -> int:
-    """Distance bound d(a, b) <= crossing number + 1."""
-    return crossing_number(a, b) + 1
-
-
 # ---------------------------------------------------------------------------
 # Farey graph of homology classes
 
@@ -427,9 +426,6 @@ class TranslationLengthBounds:
 def translation_length_bounds(
     F, a: PLCurve, n_max: int, res: int = 32
 ) -> TranslationLengthBounds:
-    from .curves import affine_image_curve, image_curve
-    from .maps import isotopy_class, power
-
     if n_max < 1:
         raise InputError("n_max must be positive")
     cls = isotopy_class(F)
@@ -496,10 +492,6 @@ def annulus_trap_certificate(
     The check samples the two boundary circles; it is a numerical
     certificate whose margin quantifies the observed clearance.
     """
-    import numpy as np
-
-    from .maps import isotopy_class, iterate_points
-
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi < lo + 1:
         raise InputError("annulus needs lo < hi < lo + 1")
@@ -544,8 +536,6 @@ def verify_certificate(cert: dict) -> dict:
             out["failed_step"] = failed
         return out
     if cert["type"] == "annulus_trap":
-        from .maps import map_from_json
-
         F = map_from_json(cert["map"])
         again = annulus_trap_certificate(
             F,

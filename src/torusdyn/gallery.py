@@ -43,7 +43,7 @@ class FiberDrift(CustomPrimitive):
     def params(self):
         return {"amp": self.amp, "time": self.time}
 
-    def eval_points(self, P: np.ndarray) -> np.ndarray:
+    def apply(self, P: np.ndarray) -> np.ndarray:
         yr = P[:, 1] - np.floor(P[:, 1])
         P[:, 1] += self.time * self.amp * np.sin(2.0 * np.pi * yr)
         return P

@@ -10,7 +10,7 @@ floating point, not just approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,122 +119,83 @@ class Linear(Primitive):
 @dataclass(frozen=True)
 class ShearX(Primitive):
     """x += strength * p(y).  Degree one profiles need integer strength
-    so the linear part [[1, s], [0, 1]] has integer entries."""
+    so the linear part [[1, s], [0, 1]] has integer entries.
+
+    Subclasses set the coordinate that moves (``axis``), the JSON names
+    of profile and strength (``keys``) and the strength's name in
+    errors (``what``)."""
 
     profile: Profile
     strength: float = 1.0
 
     type_name = "shear_x"
+    axis = 0
+    keys = ("profile", "strength")
+    what = "shear strength"
 
     def __post_init__(self):
-        strength = _finite(self.strength, "shear strength")
+        strength = _finite(self.strength, self.what)
         if self.profile.degree == 1 and int(strength) != strength:
             raise InputError("degree one shear profile needs integer strength")
         object.__setattr__(self, "strength", strength)
 
     def apply(self, P):
-        fl = np.floor(P[:, 1])
-        disp = self.profile.values(P[:, 1] - fl)
+        src = P[:, 1 - self.axis]
+        fl = np.floor(src)
+        disp = self.profile.values(src - fl)
         if self.profile.degree == 1:
             disp = disp + fl
-        P[:, 0] += self.strength * disp
+        P[:, self.axis] += self.strength * disp
         return P
 
     def linear(self):
         if self.profile.degree == 1:
-            return ((1, int(self.strength)), (0, 1))
+            s = int(self.strength)
+            return ((1, s), (0, 1)) if self.axis == 0 else ((1, 0), (s, 1))
         return IDENTITY_2X2
 
     def to_json(self):
+        profile_key, strength_key = self.keys
         return {
-            "type": "shear_x",
-            "profile": self.profile.to_json(),
-            "strength": self.strength,
+            "type": self.type_name,
+            profile_key: self.profile.to_json(),
+            strength_key: self.strength,
         }
 
 
-@dataclass(frozen=True)
-class ShearY(Primitive):
+class ShearY(ShearX):
     """y += strength * p(x)."""
 
-    profile: Profile
-    strength: float = 1.0
-
     type_name = "shear_y"
-
-    def __post_init__(self):
-        strength = _finite(self.strength, "shear strength")
-        if self.profile.degree == 1 and int(strength) != strength:
-            raise InputError("degree one shear profile needs integer strength")
-        object.__setattr__(self, "strength", strength)
-
-    def apply(self, P):
-        fl = np.floor(P[:, 0])
-        disp = self.profile.values(P[:, 0] - fl)
-        if self.profile.degree == 1:
-            disp = disp + fl
-        P[:, 1] += self.strength * disp
-        return P
-
-    def linear(self):
-        if self.profile.degree == 1:
-            return ((1, 0), (int(self.strength), 1))
-        return IDENTITY_2X2
-
-    def to_json(self):
-        return {
-            "type": "shear_y",
-            "profile": self.profile.to_json(),
-            "strength": self.strength,
-        }
+    axis = 1
 
 
-@dataclass(frozen=True)
-class VerticalFlow(Primitive):
+class VerticalFlow(ShearY):
     """y += time * field(x) for a periodic speed field."""
 
-    field: Profile
-    time: float = 1.0
-
     type_name = "vertical_flow"
+    keys = ("field", "time")
+    what = "flow time"
 
     def __post_init__(self):
-        if self.field.degree != 0:
+        if self.profile.degree != 0:
             raise InputError("vertical flow field must be a degree 0 profile")
-        object.__setattr__(self, "time", _finite(self.time, "flow time"))
-
-    def apply(self, P):
-        fl = np.floor(P[:, 0])
-        P[:, 1] += self.time * self.field.values(P[:, 0] - fl)
-        return P
-
-    def to_json(self):
-        return {
-            "type": "vertical_flow",
-            "field": self.field.to_json(),
-            "time": self.time,
-        }
+        super().__post_init__()
 
 
 class CustomPrimitive(Primitive):
     """User or gallery supplied primitive.  Must commute with integer
     translations and be isotopic to the identity (linear part I).
 
-    Subclasses may provide ``iterate_points(P, n)`` with a faster
-    n-step evaluation; the chain engine uses it when the primitive is
-    the entire chain.
+    Subclasses implement ``apply`` and may provide
+    ``iterate_points(P, n)`` with a faster n-step evaluation; the chain
+    engine uses it when the primitive is the entire chain.
     """
 
     type_name = "custom"
     name = "abstract"
 
     iterate_points = None
-
-    def eval_points(self, P: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply(self, P: np.ndarray) -> np.ndarray:
-        return self.eval_points(P)
 
     def params(self) -> dict:
         return {}
@@ -282,6 +243,9 @@ class LiftedMap:
         }
 
 
+_SHEARS = {cls.type_name: cls for cls in (ShearX, ShearY, VerticalFlow)}
+
+
 def map_from_json(spec: dict) -> LiftedMap:
     prims = []
     for pspec in spec.get("primitives", []):
@@ -290,18 +254,11 @@ def map_from_json(spec: dict) -> LiftedMap:
             prims.append(Translation(tuple(pspec["v"])))
         elif t == "linear":
             prims.append(Linear(tuple(tuple(r) for r in pspec["matrix"])))
-        elif t == "shear_x":
-            prims.append(
-                ShearX(profile_from_json(pspec["profile"]), pspec.get("strength", 1.0))
-            )
-        elif t == "shear_y":
-            prims.append(
-                ShearY(profile_from_json(pspec["profile"]), pspec.get("strength", 1.0))
-            )
-        elif t == "vertical_flow":
-            prims.append(
-                VerticalFlow(profile_from_json(pspec["field"]), pspec.get("time", 1.0))
-            )
+        elif t in _SHEARS:
+            cls = _SHEARS[t]
+            profile_key, strength_key = cls.keys
+            profile = profile_from_json(pspec[profile_key])
+            prims.append(cls(profile, pspec.get(strength_key, 1.0)))
         elif t == "custom":
             prims.append(custom_from_json(pspec["name"], pspec.get("params", {})))
         else:
@@ -536,7 +493,6 @@ class CyclicLift:
     """
 
     base: LiftedMap
-    conjugator: tuple
     curve_class: tuple
     power: int
 
@@ -577,4 +533,4 @@ def cyclic_lift(F: LiftedMap, curve_class=None) -> CyclicLift:
     # M (p, q) = (1, 0), det M = 1
     M = ((x, y), (-q, p))
     G = conjugate(F, M)
-    return CyclicLift(G, M, curve_class, twist_power)
+    return CyclicLift(G, curve_class, twist_power)

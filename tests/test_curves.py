@@ -120,6 +120,18 @@ def test_crossing_parallel_overlap_non_generic():
     assert same_straight_curve(a, b)
 
 
+def test_same_straight_curve_rejects_inessential_curves():
+    # with class (0, 0) every curve is vacuously straight
+    q = Fraction(1, 4)
+    small = PLCurve(((q, q), (2 * q, q), (2 * q, 2 * q), (q, 2 * q)), (0, 0))
+    z, t = Fraction(0), 3 * q
+    big = PLCurve(((z, z), (t, z), (t, t), (z, t)), (0, 0))
+    with pytest.raises(InputError):
+        same_straight_curve(small, big)
+    with pytest.raises(InputError):
+        same_straight_curve(horizontal_circle(F12), big)
+
+
 def test_crossing_parallel_disjoint():
     a = horizontal_circle(F12)
     b = horizontal_circle(F14)

@@ -24,7 +24,6 @@ from torusdyn.errors import InputError, NonGenericError  # noqa: E402
 from torusdyn.fine_graph import (  # noqa: E402
     adjacent,
     annulus_trap_certificate,
-    crossing_upper_bound,
     curve_from_json,
     curve_to_json,
     farey_adjacent,
@@ -127,12 +126,6 @@ def test_certificate_json_round_trip_and_tamper():
     rep2 = verify_certificate(cert)
     assert not rep2["valid"]
     assert "failed_step" in rep2
-
-
-def test_crossing_upper_bound():
-    a = horizontal_circle(F12)
-    b = straight_curve((1, 3), (Fraction(1, 7), Fraction(0)))
-    assert crossing_upper_bound(a, b) == 4
 
 
 def test_farey_class_and_adjacency():

@@ -2,7 +2,7 @@
 
 No linter runs on the package, so these scans stand in for the unused
 import and dead code checks.  A name bound by a module-level import must
-appear as a name somewhere in the module; __init__.py re-exports and is
+be read as a name somewhere in the module; __init__.py re-exports and is
 skipped.  A module-level function or a method must be referred to
 somewhere in the package, the tests or the benchmark.
 """
@@ -22,7 +22,10 @@ def unused_imports(path: Path) -> list:
             imported += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {
+        n.id for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
     return [f"{path.name}: {name}" for name in imported if name not in used]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torusdyn.errors import DivergenceError, InputError, UnsupportedMapError
+from torusdyn.gallery import build_map, gallery_names
 from torusdyn.maps import (
     Linear,
     LiftedMap,
@@ -24,7 +25,7 @@ from torusdyn.maps import (
     map_from_json,
     power,
 )
-from torusdyn.profiles import Coordinate, Sin2
+from torusdyn.profiles import Coordinate, Ramp, Sin2
 
 
 def shear_map(strength=1.0):
@@ -215,3 +216,59 @@ def test_non_finite_parameters_rejected(make, bad):
     with pytest.raises(InputError):
         make(bad)
 
+
+# ---------------------------------------------------------------------------
+# the shear family: ShearY and VerticalFlow reuse the ShearX body
+
+
+@pytest.mark.parametrize("profile,strength", [(Sin2(), 0.7), (Coordinate(), 2.0)])
+def test_shear_y_is_shear_x_with_axes_swapped(profile, strength):
+    rng = np.random.default_rng(7)
+    P = rng.uniform(-5.0, 5.0, size=(256, 2))
+    G = LiftedMap((ShearY(profile, strength),))
+    H = conjugate(LiftedMap((ShearX(profile, strength),)), ((0, 1), (1, 0)))
+    assert np.array_equal(evaluate_points(G, P), evaluate_points(H, P))
+    assert np.array_equal(iterate_points(G, P, 5), iterate_points(H, P, 5))
+    assert linear_part(G) == linear_part(H)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: VerticalFlow(Coordinate(), 1.0),
+     "vertical flow field must be a degree 0 profile"),
+    (lambda: ShearX(Coordinate(), 0.5),
+     "degree one shear profile needs integer strength"),
+    (lambda: ShearY(Ramp(), 0.5),
+     "degree one shear profile needs integer strength"),
+    (lambda: ShearY(Sin2(), math.inf), "shear strength must be finite"),
+    (lambda: VerticalFlow(Sin2(), math.nan), "flow time must be finite"),
+])
+def test_shear_validation_messages(make, message):
+    with pytest.raises(InputError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_shear_json_spellings():
+    p = Sin2().to_json()
+    specs = [
+        (ShearX(Sin2(), 0.5), ["type", "profile", "strength"], "shear_x"),
+        (ShearY(Sin2(), 0.5), ["type", "profile", "strength"], "shear_y"),
+        (VerticalFlow(Sin2(), 0.5), ["type", "field", "time"], "vertical_flow"),
+    ]
+    for prim, keys, type_name in specs:
+        spec = prim.to_json()
+        assert list(spec) == keys
+        assert spec == {keys[0]: type_name, keys[1]: p, keys[2]: 0.5}
+        clone = map_from_json({"primitives": [spec]}).primitives[0]
+        assert type(clone) is type(prim) and clone == prim
+        # a missing strength or time defaults to 1
+        bare = map_from_json({"primitives": [{"type": type_name, keys[1]: p}]})
+        assert bare.primitives[0] == type(prim)(Sin2(), 1.0)
+    assert ShearX(Sin2(), 0.5) != ShearY(Sin2(), 0.5)
+    assert ShearY(Sin2(), 0.5) != VerticalFlow(Sin2(), 0.5)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_gallery_map_json_round_trip(name):
+    spec = build_map(name).map.to_json()
+    assert map_from_json(spec).to_json() == spec
