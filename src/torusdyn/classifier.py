@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import (
-    crossing_number,
+    CurvePair,
     image_curve,
-    intersection_count,
     same_straight_curve,
 )
 from .errors import (
@@ -403,10 +402,11 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
                 entry.crossing = 1
                 entry.intersections = 0
             else:
-                entry.intersections = intersection_count(a, b)
+                pair = CurvePair(a, b)
+                entry.intersections = pair.intersection_count()
                 if b.w == a.w:
                     try:
-                        entry.crossing = crossing_number(a, b)
+                        entry.crossing = pair.crossing_number()
                     except NonGenericError as exc:
                         entry.error = str(exc)
         except (ResolutionError, DivergenceError, NonGenericError,

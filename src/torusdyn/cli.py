@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .classifier import ClassifyParams, classify
-from .curves import crossing_number, intersection_count, read_curve
+from .curves import CurvePair, read_curve
 from .errors import InputError, NonGenericError, TorusDynError
 from .fine_graph import (
     farey_lower_bound,
@@ -230,8 +230,9 @@ def cmd_crossing(args) -> int:
     a = read_curve(args.curve_a)
     b = read_curve(args.curve_b)
     config = {"curve_a": args.curve_a, "curve_b": args.curve_b}
-    cn = crossing_number(a, b)
-    ic = intersection_count(a, b)
+    pair = CurvePair(a, b)
+    cn = pair.crossing_number()
+    ic = pair.intersection_count()
     out = _outdir(args)
     _dump_json(
         os.path.join(out, "crossing.json"),

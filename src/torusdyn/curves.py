@@ -341,11 +341,7 @@ def _records(segs_a, segs_b, contacts) -> list:
 def intersection_count(a: PLCurve, b: PLCurve) -> int:
     """Number of torus intersection points; fast exact path for a pair
     of straight curves."""
-    if _is_straight(a) and _is_straight(b):
-        det = _cross2(a.w, b.w)
-        if det != 0:
-            return abs(det)
-    return len(intersections(a, b))
+    return CurvePair(a, b).intersection_count()
 
 
 def _is_straight(c: PLCurve) -> bool:
@@ -384,35 +380,70 @@ def crossing_number(a: PLCurve, b: PLCurve) -> int:
     group generated by the class of a.  Requires transverse crossings;
     touching contacts raise NonGenericError.
     """
-    if not is_essential_class(a.w):
-        raise InapplicableError("crossing number needs an essential base curve")
-    if _is_straight(a) and _is_straight(b):
-        # elevations of a are the parallel lines h(x) = r for the
-        # integer height h(x) = det(w_a, x - v_a); one period of b
-        # sweeps h from h0 to h0 + det(w_a, w_b)
-        va = a.verts[0]
-        vb = b.verts[0]
-        h0 = a.w[0] * (vb[1] - va[1]) - a.w[1] * (vb[0] - va[0])
-        step = _cross2(a.w, b.w)
-        if step == 0:
-            if h0.denominator == 1:
-                raise NonGenericError("parallel straight curves overlap")
-            return 0
-        lo, hi = sorted((h0, h0 + step))
-        return max(0, math.floor(hi) - math.ceil(lo) + 1)
-    segs_a, segs_b = a.segments, b.segments
-    contacts = list(_contacts(segs_a, segs_b))
-    for isec in _records(segs_a, segs_b, contacts):
-        if not isec.transverse:
-            raise NonGenericError(
-                f"touching contact at {isec.point}; crossing number "
-                "needs transverse intersections"
-            )
-    # segs_a[i] meets segs_b[j] + z exactly when the elevation of a
-    # through segs_a[i] - z meets segs_b[j]; _records() has already
-    # ruled out overlaps
-    w = a.w
-    return len({w[1] * z[0] - w[0] * z[1] for _, _, z, _, _ in contacts})
+    return CurvePair(a, b).crossing_number()
+
+
+class CurvePair:
+    """Intersection count and crossing number of two curves.  Asked
+    both, the pair enumerates its contacts once, and only when the
+    straight-curve shortcuts do not answer."""
+
+    def __init__(self, a: PLCurve, b: PLCurve):
+        self.a, self.b = a, b
+        self._straight = _is_straight(a) and _is_straight(b)
+        self._contact_list = None
+        self._record_list = None
+
+    def contacts(self) -> list:
+        if self._contact_list is None:
+            self._contact_list = list(
+                _contacts(self.a.segments, self.b.segments))
+        return self._contact_list
+
+    def records(self) -> list:
+        """intersections(a, b), from the pair's one enumeration."""
+        if self._record_list is None:
+            self._record_list = _records(
+                self.a.segments, self.b.segments, self.contacts())
+        return self._record_list
+
+    def intersection_count(self) -> int:
+        if self._straight:
+            det = _cross2(self.a.w, self.b.w)
+            if det != 0:
+                return abs(det)
+        return len(self.records())
+
+    def crossing_number(self) -> int:
+        a, b = self.a, self.b
+        if not is_essential_class(a.w):
+            raise InapplicableError(
+                "crossing number needs an essential base curve")
+        if self._straight:
+            # elevations of a are the parallel lines h(x) = r for the
+            # integer height h(x) = det(w_a, x - v_a); one period of b
+            # sweeps h from h0 to h0 + det(w_a, w_b)
+            va = a.verts[0]
+            vb = b.verts[0]
+            h0 = a.w[0] * (vb[1] - va[1]) - a.w[1] * (vb[0] - va[0])
+            step = _cross2(a.w, b.w)
+            if step == 0:
+                if h0.denominator == 1:
+                    raise NonGenericError("parallel straight curves overlap")
+                return 0
+            lo, hi = sorted((h0, h0 + step))
+            return max(0, math.floor(hi) - math.ceil(lo) + 1)
+        for isec in self.records():
+            if not isec.transverse:
+                raise NonGenericError(
+                    f"touching contact at {isec.point}; crossing number "
+                    "needs transverse intersections"
+                )
+        # segs_a[i] meets segs_b[j] + z exactly when the elevation of a
+        # through segs_a[i] - z meets segs_b[j]; records() has already
+        # ruled out overlaps
+        w = a.w
+        return len({w[1] * z[0] - w[0] * z[1] for _, _, z, _, _ in self.contacts()})
 
 
 # ---------------------------------------------------------------------------

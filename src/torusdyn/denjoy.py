@@ -18,6 +18,14 @@ Two dynamical systems are transported through this identification:
 
 Both are exposed as custom primitives with exact-per-piece fast
 iteration, so rotation set estimation at large n stays cheap.
+
+Orbits of D are walked by knot interval.  D sends each interval of its
+knot table into one known interval (gap k into gap k + 1, the stretch
+after gap k into the stretch after gap k + 1), so a successor table
+predicts where each point lands.  The walk checks that prediction
+exactly, searches only for the points it misses, and evaluates D with
+np.interp's own formula on the known interval, so every orbit is bit
+for bit the one np.interp gives.
 """
 
 from __future__ import annotations
@@ -37,7 +45,15 @@ _BISECT_STEPS = 60
 
 class DenjoyCircle:
     """The blown-up circle: gap table, the PL homeomorphism D and its
-    lift, and the suspension shear."""
+    lift, and the suspension shear.
+
+    D's lift interpolates (knots, values) on [0, 1].  Per knot interval
+    j, with j = 2i for gap i, j = 2i + 1 for the stretch after it and a
+    last interval for x = 1 alone, the tables hold slope[j], the slope
+    np.interp computes, upper[j], the interval's exclusive upper end,
+    and succ[j], the successor table: the interval D maps interval j
+    into.  d_step evaluates D on points whose interval is known and
+    locates the images from succ."""
 
     _cache: dict = {}
 
@@ -76,29 +92,29 @@ class DenjoyCircle:
 
     def _build_map(self):
         K = self.k_max
+        n = len(self.ks)
+        # at[k + K] is the table position of gap k
+        at = np.empty(n, dtype=np.intp)
+        at[self.ks + K] = np.arange(n)
         # image interval of each gap: gap k goes to gap k + 1; the top
         # gap maps onto a synthetic interval at the untruncated
         # position of orbit point K + 1
-        where = {int(k): i for i, k in enumerate(self.ks)}
         pos_top = ((K + 1) * self.alpha) % 1.0
         idx = np.searchsorted(self.pos, pos_top)
         prefix_top = float(self.lengths[:idx].sum())
         syn_lo = (pos_top + prefix_top) / self.total
         syn_hi = syn_lo + (1.0 / ((K + 1.0) ** 2 + 1.0)) / self.total
+        top = at[2 * K]
+        nxt = at[np.minimum(self.ks + 1, K) + K]
 
-        n = len(self.ks)
         knots = np.empty(2 * n)
         vals = np.empty(2 * n)
         knots[0::2] = self.gap_lo
         knots[1::2] = self.gap_hi
-        for i, k in enumerate(self.ks):
-            if k == K:
-                vals[2 * i] = syn_lo
-                vals[2 * i + 1] = syn_hi
-            else:
-                t = where[int(k) + 1]
-                vals[2 * i] = self.gap_lo[t]
-                vals[2 * i + 1] = self.gap_hi[t]
+        vals[0::2] = self.gap_lo[nxt]
+        vals[1::2] = self.gap_hi[nxt]
+        vals[2 * top] = syn_lo
+        vals[2 * top + 1] = syn_hi
         # unwrap the values into an increasing lift
         lift = vals.copy()
         wraps = np.cumsum(np.concatenate([[0.0], np.diff(lift) < 0.0]))
@@ -107,6 +123,19 @@ class DenjoyCircle:
             raise InputError("denjoy map values failed to unwrap")
         self.knots = np.concatenate([knots, [knots[0] + 1.0]])
         self.values = np.concatenate([lift, [lift[0] + 1.0]])
+        # per knot interval j (the last one, j = 2n, holds x >= 1 alone):
+        # the slope np.interp computes inline, the exclusive upper end,
+        # and the interval D maps it into.  Gap k and the stretch after
+        # it go to gap k + 1 and the stretch after that; the synthetic
+        # top image lies in the stretch before table position idx.
+        self.slope = np.append(np.diff(self.values) / np.diff(self.knots), 0.0)
+        self.upper = np.append(self.knots[1:], np.inf)
+        succ = np.empty(2 * n + 1, dtype=np.intp)
+        succ[0:-1:2] = 2 * nxt
+        succ[1:-1:2] = 2 * nxt + 1
+        succ[2 * top : 2 * top + 2] = (2 * idx - 1) % (2 * n)
+        succ[-1] = succ[0]
+        self.succ = succ
 
     # -- the circle homeomorphism -----------------------------------------
 
@@ -114,6 +143,30 @@ class DenjoyCircle:
         """Lift of D evaluated at arbitrary reals."""
         fl = np.floor(x)
         return np.interp(x - fl, self.knots, self.values) + fl
+
+    def interval(self, x: np.ndarray, guess: np.ndarray = None) -> np.ndarray:
+        """Knot interval j of points x >= 0: knots[j] <= x < upper[j].
+        A guessed interval is checked exactly; only the points it
+        misses are searched."""
+        if guess is None:
+            return np.searchsorted(self.knots, x, side="right") - 1
+        miss = (x < self.knots[guess]) | (x >= self.upper[guess])
+        if not miss.any():
+            return guess
+        j = guess.copy()
+        j[miss] = np.searchsorted(self.knots, x[miss], side="right") - 1
+        return j
+
+    def d_step(self, x: np.ndarray, j: np.ndarray, fl):
+        """d_lift of the lifted points with floor fl and fraction x,
+        x in knot interval j, bit for bit: np.interp's own formula on
+        the known interval, no search.  Returns the image y, its floor
+        and fraction, and the fraction's knot interval, guessed as
+        succ[j] and checked."""
+        y = self.slope[j] * (x - self.knots[j]) + self.values[j] + fl
+        fy = np.floor(y)
+        r = y - fy
+        return y, fy, r, self.interval(r, self.succ[j])
 
     def d_partial_lift(self, x: np.ndarray, s) -> np.ndarray:
         """The straight-line interpolation D_s = (1 - s) id + s D."""
@@ -132,18 +185,22 @@ class DenjoyCircle:
 
     # -- gap location -------------------------------------------------------
 
-    def locate(self, x: np.ndarray):
-        """For points of the circle [0, 1): gap index array (by table
-        position), relative position in the gap, and an in-gap mask."""
-        i = np.searchsorted(self.gap_lo, x, side="right") - 1
-        i = np.clip(i, 0, len(self.gap_lo) - 1)
+    def locate(self, x: np.ndarray, j: np.ndarray = None):
+        """For points of the circle [0, 1]: gap index array (by table
+        position), relative position in the gap, and an in-gap mask.
+        The knot interval j of x, when known, replaces the search."""
+        if j is None:
+            i = np.searchsorted(self.gap_lo, x, side="right") - 1
+            i = np.clip(i, 0, len(self.gap_lo) - 1)
+        else:
+            i = np.minimum(j >> 1, len(self.gap_lo) - 1)
         inside = (x > self.gap_lo[i]) & (x < self.gap_hi[i])
         width = self.gap_hi[i] - self.gap_lo[i]
         rel = np.where(inside, (x - self.gap_lo[i]) / width, 0.0)
         return i, rel, inside
 
-    def cantor_distance(self, x: np.ndarray) -> np.ndarray:
-        i, rel, inside = self.locate(x)
+    def cantor_distance(self, x: np.ndarray, j: np.ndarray = None) -> np.ndarray:
+        i, rel, inside = self.locate(x, j)
         width = self.gap_hi[i] - self.gap_lo[i]
         return np.where(inside, np.minimum(rel, 1.0 - rel) * width, 0.0)
 
@@ -166,11 +223,21 @@ class DenjoyCircle:
         m = np.floor(t).astype(int)
         theta = t - m
         lift_x = x.copy()
-        remaining = m.copy()
-        while np.any(remaining > 0):
-            active = remaining > 0
-            lift_x[active] = self.d_lift(lift_x[active])
-            remaining[active] -= 1
+        # walk only the points with steps left, dropping each as it ends
+        live = np.nonzero(m > 0)[0]
+        steps = m[live]
+        fx = np.floor(x[live])
+        r = x[live] - fx
+        j = self.interval(r)
+        while live.size:
+            y, fx, r, j = self.d_step(r, j, fx)
+            steps -= 1
+            done = steps == 0
+            if done.any():
+                lift_x[live[done]] = y[done]
+                keep = ~done
+                live, steps = live[keep], steps[keep]
+                fx, r, j = fx[keep], r[keep], j[keep]
         out_x = self.d_partial_lift(lift_x, theta)
         Q = np.empty((len(x), 2))
         Q[:, 0] = out_x + fl[:, 0]
@@ -215,12 +282,14 @@ class DenjoyParabolic(CustomPrimitive):
             x = np.asarray(P[:, 0], dtype=float)
             t = np.asarray(P[:, 1], dtype=float)
         i, rel, inside = dc.locate(x - np.floor(x))
-        k = dc.ks[i]
-        eta = np.where(inside, self.eps * np.sin(np.pi * rel) ** 2, 0.0)
-        tau = t + k
+        # eta is zero outside the gaps, where t does not move
+        k = dc.ks[i[inside]]
+        eta = self.eps * np.sin(np.pi * rel[inside]) ** 2
+        tau = t[inside] + k
         for _ in range(int(n)):
             tau = tau + eta * np.exp(-np.abs(tau))
-        t_out = np.where(inside, tau - k, t)
+        t_out = t.copy()
+        t_out[inside] = tau - k
         if self.coords == "torus":
             return dc.to_torus(fl, x, t_out)
         return np.column_stack([x, t_out])
@@ -256,64 +325,71 @@ class DenjoyFlow(CustomPrimitive):
     def _circle(self) -> DenjoyCircle:
         return DenjoyCircle.shared(self.k_max)
 
-    def _chi0(self, dc: DenjoyCircle, x: np.ndarray) -> np.ndarray:
+    def _chi0(self, dc: DenjoyCircle, x: np.ndarray, j: np.ndarray) -> np.ndarray:
         w = (dc.j0_hi - dc.j0_lo) / self.w_fraction
-        return np.minimum(1.0, dc.cantor_distance(x) / w)
+        return np.minimum(1.0, dc.cantor_distance(x, j) / w)
 
     def iterate_points(self, P: np.ndarray, n: int) -> np.ndarray:
         dc = self._circle()
         fl, x0, t0 = dc.from_torus(P)
         npts = len(x0)
-        theta = t0.copy()
-        m = np.zeros(npts, dtype=int)
-        x_cur = x0 - np.floor(x0)  # D^m x0 reduced to [0, 1)
-        x_next = dc.d_lift(x_cur) % 1.0
-        c_cur = self._chi0(dc, x_cur)
-        c_next = self._chi0(dc, x_next)
+        # each point's final height is m + theta, set when it stops
+        theta = np.empty(npts)
+        m = np.empty(npts, dtype=int)
+        # The points still moving have all crossed the same number of
+        # unit heights, steps.  Each carries its height th in the current
+        # unit, its remaining time, D^{steps+1} x0 reduced to [0, 1] with
+        # its knot interval, and chi0 at D^steps x0 and D^{steps+1} x0.
+        live = np.arange(npts)
+        th = t0.copy()
         remaining = np.full(npts, float(n))
-        active = np.ones(npts, dtype=bool)
-        while np.any(active):
+        x_cur = x0 - np.floor(x0)
+        j_cur = dc.interval(x_cur)
+        _, _, x_next, j_next = dc.d_step(x_cur, j_cur, 0.0)
+        c_cur = self._chi0(dc, x_cur, j_cur)
+        c_next = self._chi0(dc, x_next, j_next)
+        steps = 0
+        while live.size:
             A = 1.0 - c_cur
             B = c_cur - c_next
-            v0 = A + B * theta
-            stuck = active & (v0 <= 0.0)
-            remaining[stuck] = 0.0
-            active = active & ~stuck
-            if not np.any(active):
-                break
+            v0 = A + B * th
+            stuck = v0 <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                v1 = A + B  # speed at theta = 1
-                # time to reach theta = 1: log(v1 / v0) / B, written with
+                v1 = A + B  # speed at th = 1
+                # time to reach th = 1: log(v1 / v0) / B, written with
                 # log1p so it stays accurate as B -> 0
-                arg = np.where(v1 > 0.0, B * (1.0 - theta) / v0, np.nan)
-                s_lin = (1.0 - theta) / np.where(A != 0.0, A, np.nan)
+                arg = np.where(v1 > 0.0, B * (1.0 - th) / v0, np.nan)
+                s_lin = (1.0 - th) / np.where(A != 0.0, A, np.nan)
                 s_exp = np.log1p(arg) / np.where(B != 0.0, B, np.nan)
                 s_star = np.where(B == 0.0, s_lin, s_exp)
             s_star = np.where(np.isfinite(s_star), s_star, np.inf)
-            cross = active & (s_star <= remaining)
-            stay = active & ~cross
-            # advance the non-crossing points by their remaining time
-            if np.any(stay):
-                R = remaining[stay]
-                As, Bs, th = A[stay], B[stay], theta[stay]
-                lin = th + As * R
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    # theta(R) = theta e^{BR} + A expm1(BR) / B, stable as B -> 0
-                    grow = np.exp(Bs * R)
-                    expo = th * grow + As * np.expm1(Bs * R) / np.where(
-                        Bs != 0.0, Bs, np.nan
-                    )
-                theta[stay] = np.where(Bs == 0.0, lin, expo)
-                remaining[stay] = 0.0
-                active[stay] = False
-            if np.any(cross):
-                remaining[cross] -= s_star[cross]
-                theta[cross] = 0.0
-                m[cross] += 1
-                x_cur[cross] = x_next[cross]
-                x_next[cross] = dc.d_lift(x_next[cross]) % 1.0
-                c_cur[cross] = c_next[cross]
-                c_next[cross] = self._chi0(dc, x_next[cross])
+            cross = ~stuck & (s_star <= remaining)
+            if not cross.all():
+                # stuck points rest; the others advance by their
+                # remaining time inside this unit height
+                stay = ~stuck & ~cross
+                if stay.any():
+                    R = remaining[stay]
+                    As, Bs, ths = A[stay], B[stay], th[stay]
+                    lin = ths + As * R
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        # th(R) = th e^{BR} + A expm1(BR) / B, stable as B -> 0
+                        grow = np.exp(Bs * R)
+                        expo = ths * grow + As * np.expm1(Bs * R) / np.where(
+                            Bs != 0.0, Bs, np.nan
+                        )
+                    th[stay] = np.where(Bs == 0.0, lin, expo)
+                done = ~cross
+                theta[live[done]] = th[done]
+                m[live[done]] = steps
+                live, remaining, s_star = live[cross], remaining[cross], s_star[cross]
+                x_next, j_next, c_next = x_next[cross], j_next[cross], c_next[cross]
+            remaining = remaining - s_star
+            th = np.zeros(live.size)
+            steps += 1
+            _, _, x_next, j_next = dc.d_step(x_next, j_next, 0.0)
+            c_cur = c_next
+            c_next = self._chi0(dc, x_next, j_next)
         theta = np.clip(theta, 0.0, 1.0)
         t_out = m + theta
         return dc.to_torus(fl, x0, t_out)

@@ -33,7 +33,7 @@ from .errors import (
     MalformedCurveError,
     NonGenericError,
 )
-from .maps import _egcd, isotopy_class, iterate_points, map_from_json, power
+from .maps import _egcd, isotopy_class, iterate_points, map_from_json
 
 MAX_DELTA_HALVINGS = 12
 
@@ -436,9 +436,11 @@ def translation_length_bounds(
     entries = []
     lower = 0.0
     upper = math.inf
+    bn = a
     for n in range(1, n_max + 1):
         if affine:
-            bn = affine_image_curve(power(F, n), a)
+            # F^n a = F(F^{n-1} a), exactly, in one step per n
+            bn = affine_image_curve(F, bn)
         else:
             bn = image_curve(F, a, res=res, reference=a, n=n)
         if same_straight_curve(a, bn):

@@ -188,8 +188,14 @@ class CustomPrimitive(Primitive):
     translations and be isotopic to the identity (linear part I).
 
     Subclasses implement ``apply`` and may provide
-    ``iterate_points(P, n)`` with a faster n-step evaluation; the chain
-    engine uses it when the primitive is the entire chain.
+    ``iterate_points(P, n)`` with a faster n-step evaluation.  The chain
+    engine uses it for every chain in normal form: Linear factors L,
+    k copies of the primitive, Linear factors whose product is L^-1
+    (after adjacent inverse Linear pairs cancel), and any deck offset p.
+    Since the primitive commutes with integer translations, n steps of
+    that chain are L, then the primitive's k n steps, then L^-1, then
+    + n p.  Deck translates, powers and GL(2, Z) conjugates of the
+    primitive all iterate this way.
     """
 
     type_name = "custom"
@@ -246,24 +252,62 @@ class LiftedMap:
 _SHEARS = {cls.type_name: cls for cls in (ShearX, ShearY, VerticalFlow)}
 
 
+_REQUIRED = object()
+
+
+def _field(pspec: dict, key: str, build, default=_REQUIRED):
+    """build(pspec[key]); a missing field, or one build rejects with a
+    TypeError or ValueError, is an InputError naming the field."""
+    if key in pspec:
+        value = pspec[key]
+    elif default is _REQUIRED:
+        raise InputError(f"missing field {key!r}")
+    else:
+        value = default
+    try:
+        return build(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad field {key!r}: {exc}") from exc
+
+
+def _primitive_from_json(pspec) -> Primitive:
+    if not isinstance(pspec, dict):
+        raise InputError("a primitive must be a JSON object")
+    t = pspec.get("type")
+    if t == "translation":
+        return _field(pspec, "v", lambda v: Translation(tuple(v)))
+    if t == "linear":
+        return _field(
+            pspec, "matrix", lambda m: Linear(tuple(tuple(r) for r in m)))
+    if t in _SHEARS:
+        cls = _SHEARS[t]
+        profile_key, strength_key = cls.keys
+        profile = _field(pspec, profile_key, profile_from_json)
+        return _field(pspec, strength_key, lambda s: cls(profile, s), 1.0)
+    if t == "custom":
+        name = _field(pspec, "name", str)
+        return _field(
+            pspec, "params", lambda p: custom_from_json(name, p), {})
+    raise InputError(f"unknown primitive type: {t!r}")
+
+
 def map_from_json(spec: dict) -> LiftedMap:
+    """The map of a JSON spec.  A malformed spec is an InputError that
+    names the primitive's index and the field."""
+    if not isinstance(spec, dict):
+        raise InputError("map spec must be a JSON object")
+    pspecs = spec.get("primitives", [])
+    if not isinstance(pspecs, list):
+        raise InputError("map spec field 'primitives' must be a list")
     prims = []
-    for pspec in spec.get("primitives", []):
-        t = pspec.get("type")
-        if t == "translation":
-            prims.append(Translation(tuple(pspec["v"])))
-        elif t == "linear":
-            prims.append(Linear(tuple(tuple(r) for r in pspec["matrix"])))
-        elif t in _SHEARS:
-            cls = _SHEARS[t]
-            profile_key, strength_key = cls.keys
-            profile = profile_from_json(pspec[profile_key])
-            prims.append(cls(profile, pspec.get(strength_key, 1.0)))
-        elif t == "custom":
-            prims.append(custom_from_json(pspec["name"], pspec.get("params", {})))
-        else:
-            raise InputError(f"unknown primitive type: {t!r}")
-    return LiftedMap(tuple(prims), tuple(spec.get("deck_offset", (0, 0))))
+    for index, pspec in enumerate(pspecs):
+        try:
+            prims.append(_primitive_from_json(pspec))
+        except InputError as exc:
+            raise InputError(f"primitive {index}: {exc}") from exc
+    return _field(
+        spec, "deck_offset", lambda off: LiftedMap(tuple(prims), tuple(off)),
+        (0, 0))
 
 
 def _apply_chain(F: LiftedMap, P: np.ndarray) -> np.ndarray:
@@ -298,6 +342,42 @@ def _iteration_count(n) -> int:
     return int(n)
 
 
+def _normal_form(F: LiftedMap):
+    """(head, X, k, tail) when the chain, after adjacent inverse Linear
+    pairs cancel, is the Linear factors head, k copies of one custom
+    primitive X with a fast n-step path, and the Linear factors tail
+    whose product inverts head's; otherwise None."""
+    chain = []
+    for prim in F.primitives:
+        if (
+            isinstance(prim, Linear)
+            and chain
+            and isinstance(chain[-1], Linear)
+            and _mat_mul(prim.matrix, chain[-1].matrix) == IDENTITY_2X2
+        ):
+            chain.pop()
+        else:
+            chain.append(prim)
+    inner = [i for i, prim in enumerate(chain) if not isinstance(prim, Linear)]
+    if not inner:
+        return None
+    first, last = inner[0], inner[-1]
+    X = chain[first]
+    if (
+        not isinstance(X, CustomPrimitive)
+        or X.iterate_points is None
+        or any(prim != X for prim in chain[first:last + 1])
+    ):
+        return None
+    head, tail = chain[:first], chain[last + 1:]
+    M = IDENTITY_2X2
+    for prim in head + tail:
+        M = _mat_mul(prim.matrix, M)
+    if M != IDENTITY_2X2:
+        return None
+    return head, X, last - first + 1, tail
+
+
 def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
     """n-fold iteration of the lift on an (n_pts, 2) array."""
     n = _iteration_count(n)
@@ -305,16 +385,19 @@ def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
     if n == 0:
         return P
 
-    # single custom primitive with its own fast n-step path
-    if (
-        len(F.primitives) == 1
-        and isinstance(F.primitives[0], CustomPrimitive)
-        and F.primitives[0].iterate_points is not None
-        and F.deck_offset == (0, 0)
-    ):
-        Q = F.primitives[0].iterate_points(P, n)
-        _check_divergence(Q)
-        return Q
+    form = _normal_form(F)
+    if form is not None:
+        head, X, k, tail = form
+        for prim in head:
+            P = prim.apply(P)
+        P = X.iterate_points(P, k * n)
+        for prim in tail:
+            P = prim.apply(P)
+        if F.deck_offset != (0, 0):
+            P[:, 0] += n * F.deck_offset[0]
+            P[:, 1] += n * F.deck_offset[1]
+        _check_divergence(P)
+        return P
 
     for _ in range(n):
         P = _apply_chain(F, P)

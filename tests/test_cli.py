@@ -215,6 +215,30 @@ def test_error_exit_codes(tmp_path, capsys, command, source, code, error):
     assert json.loads(stderr)["error"] == error
 
 
+@pytest.mark.parametrize("spec, names", [
+    ({"primitives": [{"type": "shear_x"}]}, ("primitive 0", "'profile'")),
+    ({"primitives": [{"type": "shear_x", "profile": {"kind": "sin2"},
+                      "strength": "abc"}]}, ("primitive 0", "'strength'")),
+    ({"primitives": [{"type": "translation", "v": [0.5, 0]},
+                     {"type": "linear"}]}, ("primitive 1", "'matrix'")),
+    ({"primitives": [{"type": "custom", "name": "denjoy_flow",
+                      "params": {"speed": 2}}]}, ("primitive 0", "'params'")),
+    ([{"type": "translation", "v": [0.5, 0]}], ("map spec",)),
+], ids=["missing_profile", "strength_not_a_number", "missing_matrix",
+        "unknown_custom_parameter", "top_level_list"])
+def test_malformed_map_spec_is_an_input_error(tmp_path, capsys, spec, names):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(spec))
+    out = str(tmp_path / "o")
+    code, _, stderr = run(capsys, "classify", "--map", str(path),
+                          "--out", out)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    for name in names:
+        assert name in err["message"]
+
+
 # the command line reading each kind of JSON input, without the file
 READERS = {
     "map spec": ("classify", "--map"),

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import brute_crossing_number, random_simple_curve  # noqa: E402
 
 from torusdyn import curves  # noqa: E402
+from torusdyn.classifier import cross_check  # noqa: E402
 from torusdyn.cli import main as cli_main  # noqa: E402
 from torusdyn.errors import (  # noqa: E402
     InputError,
@@ -153,6 +155,41 @@ def test_crossing_number_enumerates_contacts_once(monkeypatch):
     monkeypatch.setattr(curves, "_contacts", counted)
     assert crossing_number(a, b) == brute_crossing_number(a, b) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("caller", ["cross_check", "cmd_crossing"])
+def test_both_counts_share_one_contact_enumeration(monkeypatch, tmp_path,
+                                                   caller):
+    """cross_check and `torusdyn crossing` take the intersection count
+    and the crossing number of the probe a against b from one contact
+    enumeration of the pair."""
+    a = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))
+    calls = []
+    enumerate_contacts = curves._contacts
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_contacts(*args)
+
+    monkeypatch.setattr(curves, "_contacts", counted)
+    if caller == "cross_check":
+        # the image of a moved by a quarter period crosses a twice
+        F = LiftedMap((Translation((0.25, 0.0)),))
+        entry = cross_check(F, a, [1], res=4).entries[0]
+        assert (entry.intersections, entry.crossing) == (2, 1)
+    else:
+        b = straight_curve((1, 3), (Fraction(1, 7), Fraction(0)))
+        fa, fb = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        write_curve(fa, a)
+        write_curve(fb, b)
+        out = tmp_path / "o"
+        assert cli_main(["crossing", "--curve-a", fa, "--curve-b", fb,
+                         "--out", str(out)]) == 0
+        data = json.loads((out / "crossing.json").read_text())
+        assert (data["intersection_count"], data["crossing_number"]) == (3, 3)
+    # image_curve's transversality check enumerates (image, a); the
+    # counts enumerate (a, image) once
+    assert sum(1 for args in calls if args[0] == a.segments) == 1
 
 
 def test_crossing_oracle_random_pairs():

@@ -131,3 +131,38 @@ def test_parabolic_parameter_validation():
         DenjoyParabolic(K_MAX, 0.5, "weird")
     with pytest.raises(InputError):
         DenjoyFlow(K_MAX, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the successor table: D by known knot interval, no search
+
+
+def _indexed(circle, x):
+    return circle.d_step(x, circle.interval(x), 0.0)[0]
+
+
+def test_indexed_evaluation_is_np_interp_bit_for_bit(circle):
+    knots = circle.knots
+    seeded = np.random.default_rng(11).random(20000)
+    below = np.nextafter(knots[1:], -np.inf)  # one ulp below each knot
+    for x in (seeded, knots, below):
+        want = np.interp(x, knots, circle.values)
+        got = _indexed(circle, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, circle.d_lift(x))
+
+
+def test_successor_guess_matches_search_where_accepted(circle):
+    x = np.random.default_rng(12).random(20000)
+    j = circle.interval(x)
+    assert np.array_equal(j, np.searchsorted(circle.knots, x, side="right") - 1)
+    _, _, r, j_next = circle.d_step(x, j, 0.0)
+    search = np.searchsorted(circle.knots, r, side="right") - 1
+    guess = circle.succ[j]
+    accepted = (circle.knots[guess] <= r) & (r < circle.upper[guess])
+    assert np.array_equal(guess[accepted], search[accepted])
+    assert np.array_equal(j_next, search)
+    # the table predicts almost every step; it misses only images past
+    # gap -k_max, which nothing maps onto, or past the synthetic image
+    # of gap k_max
+    assert accepted.mean() > 0.999

@@ -25,6 +25,7 @@ from torusdyn.maps import (
     map_from_json,
     power,
 )
+from torusdyn.maps import _normal_form
 from torusdyn.profiles import Coordinate, Ramp, Sin2
 
 
@@ -272,3 +273,74 @@ def test_shear_json_spellings():
 def test_gallery_map_json_round_trip(name):
     spec = build_map(name).map.to_json()
     assert map_from_json(spec).to_json() == spec
+
+
+# ---------------------------------------------------------------------------
+# the normal form: deck translates, powers and conjugates of a custom
+# primitive with a fast n-step path iterate through that path
+
+DENJOY_MAPS = ["denjoy_parabolic", "denjoy_irrational_flow"]
+VARIANTS = {
+    "deck": lambda F: deck_adjust(F, (1, 2)),
+    "power": lambda F: power(F, 2),
+    "conj_shear": lambda F: conjugate(F, [[1, 1], [0, 1]]),
+    "conj_rotation": lambda F: conjugate(F, [[0, -1], [1, 0]]),
+}
+
+
+def stepwise(G, P, n):
+    Q = P.copy()
+    for _ in range(n):
+        Q = evaluate_points(G, Q)
+    return Q
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", DENJOY_MAPS)
+def test_denjoy_normal_form_matches_single_steps(name, variant):
+    F = build_map(name, k_max=2000).map
+    G = VARIANTS[variant](F)
+    assert _normal_form(G) is not None
+    P = np.random.default_rng(21).uniform(-1.0, 2.0, size=(256, 2))
+    for n in (1, 7, 20):
+        # Single steps reduce to the unit square, invert the suspension
+        # shear by bisection and add the deck offset or the conjugating
+        # matrix every step, so they round differently; the flow's
+        # slowed speed amplifies that to about 1e-9 at n = 20.
+        err = np.abs(iterate_points(G, P, n) - stepwise(G, P, n)).max()
+        assert err <= 1e-8
+
+
+@pytest.mark.parametrize("name", DENJOY_MAPS)
+def test_bare_denjoy_map_runs_its_own_path(name):
+    F = build_map(name, k_max=2000).map
+    (X,) = F.primitives
+    assert _normal_form(F) == ([], X, 1, [])
+    P = np.random.default_rng(22).uniform(-1.0, 2.0, size=(256, 2))
+    assert np.array_equal(iterate_points(F, P, 9), X.iterate_points(P, 9))
+
+
+def test_normal_form_cancels_inverse_pairs_and_counts_copies():
+    F = build_map("denjoy_parabolic", k_max=2000).map
+    (X,) = F.primitives
+    A = ((0, -1), (1, 0))
+    head, Y, k, tail = _normal_form(power(conjugate(F, A), 3))
+    assert (Y, k) == (X, 3)
+    assert [p.matrix for p in head] == [((0, 1), (-1, 0))]
+    assert [p.matrix for p in tail] == [A]
+    # a chain that is not a conjugate of X^k, and a custom primitive
+    # without an n-step path, stay on single steps
+    assert _normal_form(compose(shear_map(), F)) is None
+    assert _normal_form(LiftedMap((Linear(A),) + F.primitives)) is None
+    assert _normal_form(build_map("annulus_attractor").map) is None
+
+
+@pytest.mark.parametrize(
+    "name", [g for g in gallery_names() if g not in DENJOY_MAPS])
+def test_other_gallery_maps_iterate_as_single_steps(name):
+    F = build_map(name).map
+    P = np.random.default_rng(23).uniform(-1.0, 2.0, size=(256, 2))
+    for G in [F] + [make(F) for make in VARIANTS.values()]:
+        # n = 15 keeps the anosov square's orbit inside the overflow guard
+        for n in (1, 7, 15):
+            assert np.array_equal(iterate_points(G, P, n), stepwise(G, P, n))
