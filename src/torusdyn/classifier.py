@@ -21,11 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import (
-    CurvePair,
-    image_curve,
-    same_straight_curve,
-)
+from .curves import CurveOrbit, same_straight_curve
 from .errors import (
     DivergenceError,
     InapplicableError,
@@ -53,11 +49,20 @@ ELLIPTIC_CONSISTENT = "EllipticConsistent"
 ELLIPTIC_CERTIFIED = "EllipticCertified"
 UNDETERMINED = "Undetermined"
 
-DEFAULT_ANNULI = ((Fraction(1, 4), Fraction(3, 4)),
-                  (Fraction(1, 8), Fraction(7, 8)),
-                  (Fraction(3, 8), Fraction(5, 8)),
-                  (Fraction(0), Fraction(1, 2)),
-                  (Fraction(1, 2), Fraction(1)))
+# twist interval length above which the action is declared hyperbolic
+EPS_LEN = 0.05
+# largest denominator accepted when matching rational slopes, points
+# and interval values
+MAX_Q = 100
+# horizontal annuli probed for trap certificates, the largest iterate
+# tried per annulus and the boundary sample count per annulus check
+ANNULI = ((Fraction(1, 4), Fraction(3, 4)),
+          (Fraction(1, 8), Fraction(7, 8)),
+          (Fraction(3, 8), Fraction(5, 8)),
+          (Fraction(0), Fraction(1, 2)),
+          (Fraction(1, 2), Fraction(1)))
+ANNULUS_POWER = 3
+ANNULUS_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -67,39 +72,27 @@ class ClassifyParams:
     n            iterate count for rotation set estimates
     grid         grid resolution per axis for rotation set estimates
     samples      lattice resolution for twist rotation intervals
-    eps_len      twist interval length above which the action is
-                 declared hyperbolic
-    max_q        largest denominator accepted when matching rational
-                 slopes, points and interval values
     thresholds   shape classification tolerances
-    annuli       horizontal annuli probed for trap certificates
-    annulus_power   largest iterate tried per annulus
-    annulus_samples boundary sample count per annulus check
     """
 
     n: int = 1000
     grid: int = 64
     samples: int = 24
-    eps_len: float = 0.05
-    max_q: int = 100
     thresholds: ShapeThresholds = DEFAULT_THRESHOLDS
-    annuli: tuple = DEFAULT_ANNULI
-    annulus_power: int = 3
-    annulus_samples: int = 512
 
     def to_json_dict(self):
         return {
             "n": self.n,
             "grid": self.grid,
             "samples": self.samples,
-            "eps_len": self.eps_len,
-            "max_q": self.max_q,
+            "eps_len": EPS_LEN,
+            "max_q": MAX_Q,
             "eps_point": self.thresholds.eps_point,
             "eps_width": self.thresholds.eps_width,
             "eps_area": self.thresholds.eps_area,
-            "annuli": [[str(lo), str(hi)] for lo, hi in self.annuli],
-            "annulus_power": self.annulus_power,
-            "annulus_samples": self.annulus_samples,
+            "annuli": [[str(lo), str(hi)] for lo, hi in ANNULI],
+            "annulus_power": ANNULUS_POWER,
+            "annulus_samples": ANNULUS_SAMPLES,
         }
 
 
@@ -178,15 +171,12 @@ def _segment_rational_point(shape, tol: float, max_q: int):
     return best
 
 
-def _try_annulus_certificates(F: LiftedMap, params: ClassifyParams):
-    """Probe the configured horizontal annuli for a trap certificate."""
-    for lo, hi in params.annuli:
+def _try_annulus_certificates(F: LiftedMap):
+    """Probe the ANNULI for a trap certificate."""
+    for lo, hi in ANNULI:
         try:
             cert = annulus_trap_certificate(
-                F, lo, hi,
-                max_power=params.annulus_power,
-                samples=params.annulus_samples,
-            )
+                F, lo, hi, max_power=ANNULUS_POWER, samples=ANNULUS_SAMPLES)
         except (InapplicableError, ResolutionError, DivergenceError):
             continue
         if cert is not None:
@@ -215,7 +205,7 @@ def _classify_identity(F: LiftedMap, params: ClassifyParams,
     if shape.kind == "segment":
         if shape.slope_label["label"] == "rational":
             hit = _segment_rational_point(
-                shape, 2.0 * params.thresholds.eps_width, params.max_q)
+                shape, 2.0 * params.thresholds.eps_width, MAX_Q)
             if hit is not None:
                 fx, fy, d = hit
                 evidence["rational_point"] = [str(fx), str(fy)]
@@ -224,7 +214,7 @@ def _classify_identity(F: LiftedMap, params: ClassifyParams,
                     "segment of rational slope passing near a low "
                     "denominator rational point; consistent with an "
                     "elliptic action")
-                cert = _try_annulus_certificates(F, params)
+                cert = _try_annulus_certificates(F)
                 if cert is not None:
                     notes.append(
                         "trapped horizontal annulus found; upgrading "
@@ -248,7 +238,7 @@ def _classify_identity(F: LiftedMap, params: ClassifyParams,
     # point or undetermined shape: a single point rotation set is
     # compatible with every isometry type, so only an exact trapped
     # annulus can settle anything here.
-    cert = _try_annulus_certificates(F, params)
+    cert = _try_annulus_certificates(F)
     if cert is not None:
         notes.append(
             "trapped horizontal annulus found; the orbit of its core "
@@ -298,15 +288,15 @@ def classify(F: LiftedMap, params: ClassifyParams = None) -> Classification:
         }
         length = interval.length
         evidence["interval_length"] = length
-        if length > params.eps_len:
+        if length > EPS_LEN:
             notes.append(
                 "twist rotation interval has positive length; the "
                 "action is hyperbolic")
             return Classification(HYPERBOLIC, "TwistInterval",
                                   evidence, notes=notes, params=params)
         mid = 0.5 * (interval.low + interval.high)
-        frac = Fraction(mid).limit_denominator(params.max_q)
-        if abs(float(frac) - mid) <= params.eps_len:
+        frac = Fraction(mid).limit_denominator(MAX_Q)
+        if abs(float(frac) - mid) <= EPS_LEN:
             evidence["rational_value"] = str(frac)
             notes.append(
                 "twist rotation interval is short and sits near a low "
@@ -380,7 +370,8 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
     """Measure crossing numbers, intersection counts and Farey
     distances of the iterated images of the probe curve a against a.
 
-    ns is an iterable of iterate counts.  Per iterate failures (non
+    ns is an iterable of iterate counts; the images walk one
+    CurveOrbit of a, max(ns) steps in all.  Per iterate failures (non
     simple samplings, divergence) are recorded in the entry rather
     than raised.  When a verdict is supplied the report lists the
     measurements that sit poorly with it; an elliptic verdict with
@@ -392,17 +383,18 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
         raise InputError("iterate counts must be positive")
     if crossing_cap is None:
         crossing_cap = 2 * ns[-1] + 2
+    orbit = CurveOrbit(F, a, res)
     entries = []
     for n in ns:
         entry = CrossCheckEntry(n)
         try:
-            b = image_curve(F, a, res=res, reference=a, n=n)
+            pair = orbit.pair(n, a)
+            b = pair.b
             entry.farey = farey_distance(a.w, b.w)
             if same_straight_curve(a, b):
                 entry.crossing = 1
                 entry.intersections = 0
             else:
-                pair = CurvePair(a, b)
                 entry.intersections = pair.intersection_count()
                 if b.w == a.w:
                     try:

@@ -33,7 +33,6 @@ from .maps import map_from_json
 from .rotation import (
     ShapeThresholds,
     convergence_diagnostics,
-    displacement_vectors,
     mz_estimate,
 )
 
@@ -182,6 +181,8 @@ def _outdir(args) -> str:
 
 
 def cmd_rotset(args) -> int:
+    if args.cloud and not args.svg:
+        raise InputError("--cloud draws into the SVG; it needs --svg")
     F, map_echo = _load_map(args)
     thresholds = _load_thresholds(args.thresholds)
     config = {
@@ -204,9 +205,8 @@ def cmd_rotset(args) -> int:
     _dump_json(os.path.join(out, "rotset.json"),
                _artifact(config, payload))
     if args.svg:
-        cloud = (displacement_vectors(F, args.n, args.grid)
-                 if args.cloud else None)
-        _write_svg(os.path.join(out, "rotset.svg"), est.hull, cloud)
+        _write_svg(os.path.join(out, "rotset.svg"), est.hull,
+                   est.cloud if args.cloud else None)
     print(est.shape.kind)
     return 0
 
@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", help="shape thresholds JSON file")
     p.add_argument("--svg", action="store_true", help="write rotset.svg")
     p.add_argument("--cloud", action="store_true",
-                   help="include the displacement cloud in the SVG")
+                   help="include the displacement cloud in the SVG "
+                        "(needs --svg)")
     _add_common(p)
     p.set_defaults(func=cmd_rotset)
 

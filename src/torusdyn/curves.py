@@ -26,7 +26,7 @@ from .errors import (
     NonGenericError,
     ResolutionError,
 )
-from .maps import LiftedMap, Linear, Translation, _mat_mul, iterate_points, linear_part
+from .maps import LiftedMap, Linear, Translation, _mat_apply, iterate_points, linear_part
 
 BBOX_PAD = 1e-9
 SNAP_DENOMINATOR = 10**9
@@ -481,62 +481,62 @@ def lift_to_cover(c: PLCurve, n: int, offset=(0, 0)) -> PLCurve:
 # image curves
 
 
-def image_curve(
-    F: LiftedMap,
-    c: PLCurve,
-    res: int = 16,
-    reference: PLCurve = None,
-    n: int = 1,
-) -> PLCurve:
-    """Simple PL approximation of the image of the curve under the
-    n-th iterate of the map.
+def _drop_repeats(points) -> list:
+    """The points, each run of equal neighbours cut to its first."""
+    out = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    return out
 
-    Samples res points per edge, maps them, snaps to rationals and
-    closes with the exact image class A^n w.  If a reference curve is
-    given the result must meet it transversally (or not at all); a
-    deterministic translation schedule retries failed transversality.
-    """
-    if res < 1 or int(res) != res:
-        raise InputError("resolution must be a positive integer")
-    if n < 1 or int(n) != n:
-        raise InputError("iterate count must be a positive integer")
-    A = ((1, 0), (0, 1))
-    A1 = linear_part(F)
-    for _ in range(int(n)):
-        A = _mat_mul(A1, A)
-    w_img = (
-        A[0][0] * c.w[0] + A[0][1] * c.w[1],
-        A[1][0] * c.w[0] + A[1][1] * c.w[1],
-    )
-    samples = []
-    for P, Q in c.segments:
-        for s in range(int(res)):
-            t = s / res
-            samples.append(
-                (
-                    float(P[0]) * (1.0 - t) + float(Q[0]) * t,
-                    float(P[1]) * (1.0 - t) + float(Q[1]) * t,
-                )
-            )
-    mapped = iterate_points(F, np.asarray(samples), int(n))
 
-    verts = []
-    for x, y in mapped:
-        fx = Fraction(float(x)).limit_denominator(SNAP_DENOMINATOR)
-        fy = Fraction(float(y)).limit_denominator(SNAP_DENOMINATOR)
-        if verts and verts[-1] == (fx, fy):
-            continue  # snap collision, drop the duplicate
-        verts.append((fx, fy))
-    while len(verts) > 1 and verts[-1] == (
-        verts[0][0] + w_img[0],
-        verts[0][1] + w_img[1],
-    ):
-        verts.pop()
-    if not verts:
-        raise ResolutionError("all image samples snapped together")
+class CurveOrbit:
+    """PL images of one curve under the iterates of a map.  The curve
+    is sampled once, res points per edge; the orbit keeps the mapped
+    samples and image class of the last iterate asked for and advances
+    both by the gap, so a schedule costs one orbit of the samples.
+    Iterates must not decrease.  Where the map's n-step path is not n
+    single steps (Denjoy maps) the walked samples may sit a few ulps
+    off a fresh orbit."""
 
-    base = PLCurve(tuple(verts), w_img)
-    if not is_simple(base):
+    def __init__(self, F: LiftedMap, c: PLCurve, res: int = 16):
+        if res < 1 or int(res) != res:
+            raise InputError("resolution must be a positive integer")
+        self.F, self.n, self.w = F, 0, c.w
+        # (segment, sample, coordinate): P (1 - t) + Q t, t = s / res
+        ends = np.array([[[float(v) for v in pt] for pt in seg]
+                         for seg in c.segments])[:, None]
+        t = (np.arange(int(res)) / res)[:, None]
+        self._samples = (ends[:, :, 0] * (1.0 - t)
+                         + ends[:, :, 1] * t).reshape(-1, 2)
+
+    def image(self, n: int) -> PLCurve:
+        """Simple PL approximation of the image under the n-th iterate:
+        the mapped samples snapped to rationals, closed with the exact
+        image class A^n w."""
+        if n < 1 or int(n) != n:
+            raise InputError("iterate count must be a positive integer")
+        if n < self.n:
+            raise InputError(
+                f"orbit is at iterate {self.n}; iterates must not decrease")
+        steps = int(n) - self.n
+        self._samples = iterate_points(self.F, self._samples, steps)
+        self.n = int(n)
+        A1 = linear_part(self.F)
+        for _ in range(steps):
+            self.w = _mat_apply(A1, self.w)
+        w = self.w
+        # snap collisions leave consecutive duplicates
+        verts = _drop_repeats(
+            (Fraction(float(x)).limit_denominator(SNAP_DENOMINATOR),
+             Fraction(float(y)).limit_denominator(SNAP_DENOMINATOR))
+            for x, y in self._samples)
+        closing = (verts[0][0] + w[0], verts[0][1] + w[1])
+        while len(verts) > 1 and verts[-1] == closing:
+            verts.pop()
+        base = PLCurve(tuple(verts), w)
+        if is_simple(base):
+            return base
         # maps with flat stretches can snap distinct image arcs onto
         # exactly overlapping segments; a deterministic microscopic
         # vertex jitter separates them without moving the curve beyond
@@ -549,29 +549,48 @@ def image_curve(
                 )
                 for i, (x, y) in enumerate(verts)
             )
-            cand = PLCurve(jittered, w_img)
+            cand = PLCurve(jittered, w)
             if is_simple(cand):
-                base = cand
-                break
-        else:
-            raise ResolutionError(
-                "image sampling is not simple; raise the resolution"
-            )
-    if reference is None:
-        return base
-    shift = (Fraction(1, 10**9), Fraction(1, 2 * 10**9))
-    for attempt in range(IMAGE_RETRIES + 1):
-        cand = base if attempt == 0 else base.translated(
-            attempt * shift[0], attempt * shift[1]
-        )
-        try:
-            if all(i.transverse for i in intersections(cand, reference)):
                 return cand
-        except NonGenericError:
-            pass
-    raise ResolutionError(
-        "could not place the image curve transverse to the reference"
-    )
+        raise ResolutionError(
+            "image sampling is not simple; raise the resolution")
+
+    def pair(self, n: int, reference: PLCurve) -> CurvePair:
+        """CurvePair(reference, image) of the n-th image, translated by
+        a deterministic schedule until it meets the reference
+        transversally or not at all.  The accepted pair's records are
+        that check, so its counts enumerate nothing more."""
+        base = self.image(n)
+        shift = (Fraction(1, 10**9), Fraction(1, 2 * 10**9))
+        for attempt in range(IMAGE_RETRIES + 1):
+            cand = base if attempt == 0 else base.translated(
+                attempt * shift[0], attempt * shift[1]
+            )
+            pair = CurvePair(reference, cand)
+            try:
+                if all(i.transverse for i in pair.records()):
+                    return pair
+            except NonGenericError:
+                pass
+        raise ResolutionError(
+            "could not place the image curve transverse to the reference"
+        )
+
+
+def image_curve(
+    F: LiftedMap,
+    c: PLCurve,
+    res: int = 16,
+    reference: PLCurve = None,
+    n: int = 1,
+) -> PLCurve:
+    """The n-th image of the curve, CurveOrbit(F, c, res).image(n), or
+    with a reference curve CurveOrbit(F, c, res).pair(n, reference).b.
+    Several iterates of one curve walk one CurveOrbit instead."""
+    orbit = CurveOrbit(F, c, res)
+    if reference is None:
+        return orbit.image(n)
+    return orbit.pair(n, reference).b
 
 
 def affine_image_curve(F: LiftedMap, c: PLCurve) -> PLCurve:
@@ -589,12 +608,7 @@ def affine_image_curve(F: LiftedMap, c: PLCurve) -> PLCurve:
             raise InapplicableError("exact images need an affine chain")
     ox, oy = F.deck_offset
     verts = [(x + ox, y + oy) for x, y in verts]
-    A = linear_part(F)
-    w_img = (
-        A[0][0] * c.w[0] + A[0][1] * c.w[1],
-        A[1][0] * c.w[0] + A[1][1] * c.w[1],
-    )
-    return PLCurve(tuple(verts), w_img)
+    return PLCurve(tuple(verts), _mat_apply(linear_part(F), c.w))
 
 
 # ---------------------------------------------------------------------------

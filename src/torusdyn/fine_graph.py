@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import (
+    CurveOrbit,
+    CurvePair,
     PLCurve,
+    _drop_repeats,
     affine_image_curve,
-    crossing_number,
-    image_curve,
-    intersection_count,
     intersections,
     is_essential_class,
     is_simple,
@@ -89,11 +89,7 @@ def _arc_chain(c: PLCurve, s: Fraction, e: Fraction):
         j += 1
     pts.append(_point_at(c, e))
     # drop repeats when s or e sits exactly on a vertex
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
+    return _drop_repeats(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +137,7 @@ def _offset_curve(c: PLCurve, delta: Fraction, side: int) -> PLCurve:
             continue
         t = ((Pi[0] - Pj[0]) * di[1] - (Pi[1] - Pj[1]) * di[0]) / den
         verts.append((Pj[0] + t * dj[0], Pj[1] + t * dj[1]))
-    out = [verts[0]]
-    for p in verts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return PLCurve(tuple(out), c.w)
+    return PLCurve(tuple(_drop_repeats(verts)), c.w)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +188,8 @@ def _surgery_candidates(a: PLCurve, b: PLCurve, pts):
             w = (int(w[0]), int(w[1]))
             if not is_essential_class(w):
                 continue
-            verts = [chain[0]]
-            for pt in chain[1:-1]:
-                if pt != verts[-1]:
-                    verts.append(pt)
             try:
-                gamma = PLCurve(tuple(verts), w)
+                gamma = PLCurve(tuple(_drop_repeats(chain[:-1])), w)
             except MalformedCurveError:
                 continue
             if not is_simple(gamma):
@@ -433,22 +421,25 @@ def translation_length_bounds(
     affine = all(
         p.type_name in ("linear", "translation") for p in F.primitives
     )
+    # affine images are exact, F^n a = F(F^{n-1} a); others sample an orbit
+    orbit = None if affine else CurveOrbit(F, a, res)
     entries = []
     lower = 0.0
     upper = math.inf
     bn = a
     for n in range(1, n_max + 1):
         if affine:
-            # F^n a = F(F^{n-1} a), exactly, in one step per n
             bn = affine_image_curve(F, bn)
+            pair = CurvePair(a, bn)
         else:
-            bn = image_curve(F, a, res=res, reference=a, n=n)
+            pair = orbit.pair(n, a)
+            bn = pair.b
         if same_straight_curve(a, bn):
             up = 0
         elif cls.kind == "identity" and bn.w == a.w:
-            up = crossing_number(a, bn) + 1
+            up = pair.crossing_number() + 1
         else:
-            up = 2 * intersection_count(a, bn) + 2
+            up = 2 * pair.intersection_count() + 2
         low = farey_distance(a.w, bn.w)
         entries.append(LengthBoundEntry(n, up, low))
         upper = min(upper, up / n)

@@ -32,9 +32,6 @@ class Profile:
         """Evaluate on coordinates reduced to [0, 1)."""
         raise NotImplementedError
 
-    def value(self, y: float) -> float:
-        return float(self.values(np.asarray([y], dtype=float))[0])
-
     def params(self) -> dict:
         return {}
 

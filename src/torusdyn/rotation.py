@@ -10,7 +10,7 @@ convergence diagnostics give the evidence that the classifier consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -280,13 +280,15 @@ def _require_identity_isotopic(F: LiftedMap):
 
 @dataclass(frozen=True)
 class RotSetEstimate:
-    """Sampled rotation set estimate: displacement hull plus shape."""
+    """Sampled rotation set estimate: displacement hull plus shape,
+    and the displacement cloud it was built from (not serialized)."""
 
     hull: ConvexRegion
     shape: Shape
     n: int
     grid: int
     thresholds: ShapeThresholds
+    cloud: np.ndarray = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self):
         return {
@@ -312,8 +314,10 @@ def mz_estimate(
         raise InputError("estimation time n must be a positive integer")
     _require_identity_isotopic(F)
     thresholds = thresholds or DEFAULT_THRESHOLDS
-    hull = convex_hull(displacement_vectors(F, n, grid))
-    return RotSetEstimate(hull, classify_shape(hull, thresholds), int(n), int(grid), thresholds)
+    cloud = displacement_vectors(F, n, grid)
+    hull = convex_hull(cloud)
+    return RotSetEstimate(hull, classify_shape(hull, thresholds), int(n),
+                          int(grid), thresholds, cloud)
 
 
 def pointwise_rotation(F: LiftedMap, x, n: int) -> tuple:

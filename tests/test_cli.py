@@ -53,6 +53,18 @@ def test_rotset_translation(tmp_path, capsys):
     assert svg.startswith(b"<!-- torusdyn ")
 
 
+def test_rotset_cloud_needs_svg(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, stderr = run(
+        capsys, "rotset", "--gallery", "translation", "-n", "10",
+        "--grid", "4", "--cloud", "--out", str(out))
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    assert "--svg" in err["message"]
+    assert not out.exists()
+
+
 def test_rotset_determinism(tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):

@@ -21,6 +21,7 @@ from torusdyn.errors import (  # noqa: E402
 from torusdyn.gallery import build_map  # noqa: E402
 from torusdyn.maps import Linear, LiftedMap, Translation  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
+    CurveOrbit,
     PLCurve,
     affine_image_curve,
     crossing_number,
@@ -187,9 +188,9 @@ def test_both_counts_share_one_contact_enumeration(monkeypatch, tmp_path,
                          "--out", str(out)]) == 0
         data = json.loads((out / "crossing.json").read_text())
         assert (data["intersection_count"], data["crossing_number"]) == (3, 3)
-    # image_curve's transversality check enumerates (image, a); the
-    # counts enumerate (a, image) once
-    assert sum(1 for args in calls if args[0] == a.segments) == 1
+    # every two-curve enumeration: the accepted placement's
+    # transversality check is the one both counts read
+    assert sum(1 for args in calls if len(args) == 2) == 1
 
 
 def test_crossing_oracle_random_pairs():
@@ -256,6 +257,57 @@ def test_image_curve_transversality_retry():
     F = build_map("shear_segment").map
     b = image_curve(F, a, res=16, reference=a)
     assert all(i.transverse for i in intersections(b, a))
+
+
+BENT = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))
+
+
+@pytest.mark.parametrize("name", ["shear_segment", "twist_model"])
+def test_curve_orbit_matches_fresh_images(name):
+    """On maps iterated one chain step at a time, walking one orbit over
+    a schedule gives, byte for byte, the images that image_curve builds
+    from scratch at each iterate."""
+    F = build_map(name).map
+    for a in (straight_curve((1, 0)), BENT):
+        plain, placed = CurveOrbit(F, a, 16), CurveOrbit(F, a, 16)
+        for n in (1, 2, 5, 9):
+            assert format_curve(plain.image(n)) == format_curve(
+                image_curve(F, a, res=16, n=n))
+            assert format_curve(placed.pair(n, a).b) == format_curve(
+                image_curve(F, a, res=16, reference=a, n=n))
+
+
+def test_curve_orbit_on_the_suspension_denjoy_map():
+    """The Denjoy map's n-step path rounds its lifted heights once per
+    call, so an orbit walked in gaps may sit a few ulps off a fresh
+    orbit; the snapped images then agree to the snap resolution, with
+    the same class and the same counts against the probe."""
+    F = build_map("denjoy_parabolic", k_max=2000, coords="suspension").map
+    tol = Fraction(3, curves.SNAP_DENOMINATOR)
+    for a in (straight_curve((1, 0)), BENT):
+        orbit = CurveOrbit(F, a, 16)
+        for n in (10, 30, 100):
+            walked = orbit.pair(n, a)
+            fresh = curves.CurvePair(
+                a, image_curve(F, a, res=16, reference=a, n=n))
+            assert walked.b.w == fresh.b.w
+            assert len(walked.b.verts) == len(fresh.b.verts)
+            assert all(abs(p - q) <= tol
+                       for u, v in zip(walked.b.verts, fresh.b.verts)
+                       for p, q in zip(u, v))
+            assert walked.intersection_count() == fresh.intersection_count()
+            assert walked.crossing_number() == fresh.crossing_number()
+
+
+def test_curve_orbit_iterates_must_not_decrease():
+    F = build_map("shear_segment").map
+    orbit = CurveOrbit(F, straight_curve((1, 0)), 8)
+    orbit.image(3)
+    assert orbit.image(3) == image_curve(F, straight_curve((1, 0)), 8, n=3)
+    with pytest.raises(InputError):
+        orbit.image(2)
+    with pytest.raises(InputError):
+        CurveOrbit(F, straight_curve((1, 0)), 0)
 
 
 def _reduced(pt):

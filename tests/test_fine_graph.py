@@ -11,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import farey_oracle_distance, random_simple_curve  # noqa: E402
 
-from torusdyn import fine_graph  # noqa: E402
+from torusdyn import curves, fine_graph  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
     PLCurve,
     horizontal_circle,
@@ -234,6 +234,34 @@ def test_translation_length_bounds_translation_zero():
     tb = translation_length_bounds(F, a, 4)
     assert tb.lower == 0.0
     assert tb.upper <= 1.0
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+def test_translation_length_bounds_walks_one_orbit(monkeypatch, segments):
+    """On a non-affine map the image samples advance one step per n:
+    res x segments x n_max point steps, not res x segments x (1 + ... +
+    n_max)."""
+    steps = []
+    iterate = curves.iterate_points
+
+    def counted(F, points, n):
+        steps.append(len(points) * n)
+        return iterate(F, points, n)
+
+    monkeypatch.setattr(curves, "iterate_points", counted)
+    G = build_map("denjoy_parabolic", k_max=2000, coords="suspension").map
+    if segments == 1:
+        a = straight_curve((1, 0))
+    else:
+        a = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))
+    res, n_max = 8, 5
+    tb = translation_length_bounds(G, a, n_max, res=res)
+    assert len(tb.entries) == n_max
+    assert sum(steps) == res * segments * n_max
+    # affine images are exact and sample nothing
+    steps.clear()
+    translation_length_bounds(build_map("anosov").map, a, 3, res=res)
+    assert steps == []
 
 
 def test_translation_length_bounds_rejects_an_inessential_curve():
