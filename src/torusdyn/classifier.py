@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import CurveOrbit, same_straight_curve
+from .curves import CurveOrbit
 from .errors import (
     DivergenceError,
     InapplicableError,
@@ -389,14 +389,13 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
         entry = CrossCheckEntry(n)
         try:
             pair = orbit.pair(n, a)
-            b = pair.b
-            entry.farey = farey_distance(a.w, b.w)
-            if same_straight_curve(a, b):
-                entry.crossing = 1
-                entry.intersections = 0
+            entry.farey = farey_distance(a.w, pair.b.w)
+            if pair.same:
+                # an exact image on the probe reads as a placed push-off
+                entry.intersections = entry.crossing = 0
             else:
                 entry.intersections = pair.intersection_count()
-                if b.w == a.w:
+                if pair.b.w == a.w:
                     try:
                         entry.crossing = pair.crossing_number()
                     except NonGenericError as exc:

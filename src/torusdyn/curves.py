@@ -36,13 +36,11 @@ IMAGE_RETRIES = 8
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise MalformedCurveError(f"cannot coerce {x!r} to a rational")
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise MalformedCurveError(
+            f"cannot coerce {x!r} to a rational") from exc
 
 
 @dataclass(frozen=True)
@@ -359,13 +357,7 @@ def same_straight_curve(a: PLCurve, b: PLCurve) -> bool:
     along the class, so every null-homotopic curve would pass."""
     if not (is_essential_class(a.w) and is_essential_class(b.w)):
         raise InputError("straight curve comparison needs essential classes")
-    if not (_is_straight(a) and _is_straight(b)):
-        return False
-    if _cross2(a.w, b.w) != 0:
-        return False
-    va, vb = a.verts[0], b.verts[0]
-    h0 = a.w[0] * (vb[1] - va[1]) - a.w[1] * (vb[0] - va[0])
-    return Fraction(h0).denominator == 1
+    return CurvePair(a, b).same
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +376,29 @@ def crossing_number(a: PLCurve, b: PLCurve) -> int:
 
 
 class CurvePair:
-    """Intersection count and crossing number of two curves.  Asked
-    both, the pair enumerates its contacts once, and only when the
-    straight-curve shortcuts do not answer."""
+    """Intersection count and crossing number of two curves.
+
+    A pair of straight curves of essential classes is decided once, on
+    construction: det counts its crossings, all transverse, and `same`
+    says whether the two curves are one subset of the torus.  Such a
+    pair enumerates nothing.  Any other pair, asked both counts,
+    enumerates its contacts once."""
 
     def __init__(self, a: PLCurve, b: PLCurve):
         self.a, self.b = a, b
-        self._straight = _is_straight(a) and _is_straight(b)
+        self.straight = (is_essential_class(a.w) and is_essential_class(b.w)
+                         and _is_straight(a) and _is_straight(b))
+        self.det = _cross2(a.w, b.w)
+        # elevations of a are the parallel lines h(x) = r for the integer
+        # height h(x) = det(w_a, x - v_a); b sits at height h0
+        self.same = (self.straight and self.det == 0
+                     and self._h0().denominator == 1)
         self._contact_list = None
         self._record_list = None
+
+    def _h0(self):
+        va, vb = self.a.verts[0], self.b.verts[0]
+        return _cross2(self.a.w, (vb[0] - va[0], vb[1] - va[1]))
 
     def contacts(self) -> list:
         if self._contact_list is None:
@@ -407,31 +413,32 @@ class CurvePair:
                 self.a.segments, self.b.segments, self.contacts())
         return self._record_list
 
+    def transverse(self) -> bool:
+        """Whether the curves meet transversally or not at all.  Two
+        distinct straight curves always do."""
+        if self.straight:
+            return not self.same
+        try:
+            return all(i.transverse for i in self.records())
+        except NonGenericError:
+            return False
+
     def intersection_count(self) -> int:
-        if self._straight:
-            det = _cross2(self.a.w, self.b.w)
-            if det != 0:
-                return abs(det)
+        if self.straight and not self.same:
+            return abs(self.det)
         return len(self.records())
 
     def crossing_number(self) -> int:
-        a, b = self.a, self.b
-        if not is_essential_class(a.w):
+        w = self.a.w
+        if not is_essential_class(w):
             raise InapplicableError(
                 "crossing number needs an essential base curve")
-        if self._straight:
-            # elevations of a are the parallel lines h(x) = r for the
-            # integer height h(x) = det(w_a, x - v_a); one period of b
-            # sweeps h from h0 to h0 + det(w_a, w_b)
-            va = a.verts[0]
-            vb = b.verts[0]
-            h0 = a.w[0] * (vb[1] - va[1]) - a.w[1] * (vb[0] - va[0])
-            step = _cross2(a.w, b.w)
-            if step == 0:
-                if h0.denominator == 1:
-                    raise NonGenericError("parallel straight curves overlap")
-                return 0
-            lo, hi = sorted((h0, h0 + step))
+        if self.straight:
+            if self.same:
+                raise NonGenericError("parallel straight curves overlap")
+            # one period of b sweeps h from h0 to h0 + det(w_a, w_b)
+            h0 = self._h0()
+            lo, hi = sorted((h0, h0 + self.det))
             return max(0, math.floor(hi) - math.ceil(lo) + 1)
         for isec in self.records():
             if not isec.transverse:
@@ -442,7 +449,6 @@ class CurvePair:
         # segs_a[i] meets segs_b[j] + z exactly when the elevation of a
         # through segs_a[i] - z meets segs_b[j]; records() has already
         # ruled out overlaps
-        w = a.w
         return len({w[1] * z[0] - w[0] * z[1] for _, _, z, _, _ in self.contacts()})
 
 
@@ -491,18 +497,23 @@ def _drop_repeats(points) -> list:
 
 
 class CurveOrbit:
-    """PL images of one curve under the iterates of a map.  The curve
-    is sampled once, res points per edge; the orbit keeps the mapped
-    samples and image class of the last iterate asked for and advances
-    both by the gap, so a schedule costs one orbit of the samples.
-    Iterates must not decrease.  Where the map's n-step path is not n
-    single steps (Denjoy maps) the walked samples may sit a few ulps
-    off a fresh orbit."""
+    """Images of one curve under the iterates of a map.  The orbit
+    keeps the image of the last iterate asked for and advances it by
+    the gap, so iterates must not decrease and a schedule costs one
+    orbit.  Chains of Linear and Translation primitives image the curve
+    exactly (affine_image_curve); other maps sample it once, res points
+    per edge.  Where a map's n-step path is not n single steps (Denjoy
+    maps in torus coordinates, whose transport bisects on every call)
+    the walked samples may sit a few ulps off a fresh orbit."""
 
     def __init__(self, F: LiftedMap, c: PLCurve, res: int = 16):
         if res < 1 or int(res) != res:
             raise InputError("resolution must be a positive integer")
         self.F, self.n, self.w = F, 0, c.w
+        self._exact = None
+        if all(isinstance(p, (Linear, Translation)) for p in F.primitives):
+            self._exact = c
+            return
         # (segment, sample, coordinate): P (1 - t) + Q t, t = s / res
         ends = np.array([[[float(v) for v in pt] for pt in seg]
                          for seg in c.segments])[:, None]
@@ -511,17 +522,21 @@ class CurveOrbit:
                          + ends[:, :, 1] * t).reshape(-1, 2)
 
     def image(self, n: int) -> PLCurve:
-        """Simple PL approximation of the image under the n-th iterate:
-        the mapped samples snapped to rationals, closed with the exact
-        image class A^n w."""
+        """The image under the n-th iterate: exact for an affine map,
+        otherwise a simple PL approximation, the mapped samples snapped
+        to rationals and closed with the exact image class A^n w."""
         if n < 1 or int(n) != n:
             raise InputError("iterate count must be a positive integer")
         if n < self.n:
             raise InputError(
                 f"orbit is at iterate {self.n}; iterates must not decrease")
         steps = int(n) - self.n
-        self._samples = iterate_points(self.F, self._samples, steps)
         self.n = int(n)
+        if self._exact is not None:
+            for _ in range(steps):
+                self._exact = affine_image_curve(self.F, self._exact)
+            return self._exact
+        self._samples = iterate_points(self.F, self._samples, steps)
         A1 = linear_part(self.F)
         for _ in range(steps):
             self.w = _mat_apply(A1, self.w)
@@ -558,8 +573,9 @@ class CurveOrbit:
     def pair(self, n: int, reference: PLCurve) -> CurvePair:
         """CurvePair(reference, image) of the n-th image, translated by
         a deterministic schedule until it meets the reference
-        transversally or not at all.  The accepted pair's records are
-        that check, so its counts enumerate nothing more."""
+        transversally or not at all.  An exact image that is the
+        straight reference itself is an answer and stays put.  The
+        accepted pair has decided its transversality once."""
         base = self.image(n)
         shift = (Fraction(1, 10**9), Fraction(1, 2 * 10**9))
         for attempt in range(IMAGE_RETRIES + 1):
@@ -567,11 +583,9 @@ class CurveOrbit:
                 attempt * shift[0], attempt * shift[1]
             )
             pair = CurvePair(reference, cand)
-            try:
-                if all(i.transverse for i in pair.records()):
-                    return pair
-            except NonGenericError:
-                pass
+            if pair.transverse() or (
+                    attempt == 0 and self._exact is not None and pair.same):
+                return pair
         raise ResolutionError(
             "could not place the image curve transverse to the reference"
         )
@@ -586,7 +600,10 @@ def image_curve(
 ) -> PLCurve:
     """The n-th image of the curve, CurveOrbit(F, c, res).image(n), or
     with a reference curve CurveOrbit(F, c, res).pair(n, reference).b.
-    Several iterates of one curve walk one CurveOrbit instead."""
+    Affine maps give exact images, res applies to sampled maps only,
+    and an exact image that is the straight reference itself is
+    returned unmoved.  Several iterates of one curve walk one
+    CurveOrbit instead."""
     orbit = CurveOrbit(F, c, res)
     if reference is None:
         return orbit.image(n)

@@ -285,11 +285,12 @@ class DenjoyParabolic(CustomPrimitive):
         # eta is zero outside the gaps, where t does not move
         k = dc.ks[i[inside]]
         eta = self.eps * np.sin(np.pi * rel[inside]) ** 2
-        tau = t[inside] + k
+        # iterate t itself: m steps, then n - m, are n steps bit for bit
+        t_in = t[inside]
         for _ in range(int(n)):
-            tau = tau + eta * np.exp(-np.abs(tau))
+            t_in = t_in + eta * np.exp(-np.abs(t_in + k))
         t_out = t.copy()
-        t_out[inside] = tau - k
+        t_out[inside] = t_in
         if self.coords == "torus":
             return dc.to_torus(fl, x, t_out)
         return np.column_stack([x, t_out])

@@ -21,11 +21,9 @@ from .curves import (
     CurvePair,
     PLCurve,
     _drop_repeats,
-    affine_image_curve,
     intersections,
     is_essential_class,
     is_simple,
-    same_straight_curve,
 )
 from .errors import (
     InapplicableError,
@@ -33,7 +31,7 @@ from .errors import (
     MalformedCurveError,
     NonGenericError,
 )
-from .maps import _egcd, isotopy_class, iterate_points, map_from_json
+from .maps import _egcd, _field, isotopy_class, iterate_points, map_from_json
 
 MAX_DELTA_HALVINGS = 12
 
@@ -49,16 +47,13 @@ def adjacent(a: PLCurve, b: PLCurve) -> bool:
     for c in (a, b):
         if not is_essential_class(c.w):
             raise InapplicableError("fine graph vertices must be essential")
-    pts = intersections(a, b)
-    if len(pts) == 0:
-        return True
-    if len(pts) == 1:
-        if not pts[0].transverse:
-            raise NonGenericError(
-                "single tangential contact; perturb before testing adjacency"
-            )
-        return True
-    return False
+    pair = CurvePair(a, b)
+    count = pair.intersection_count()
+    if count == 1 and not pair.transverse():
+        raise NonGenericError(
+            "single tangential contact; perturb before testing adjacency"
+        )
+    return count <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +413,19 @@ def translation_length_bounds(
         raise InputError("n_max must be positive")
     cls = isotopy_class(F)
     route = cls.kind
-    affine = all(
-        p.type_name in ("linear", "translation") for p in F.primitives
-    )
-    # affine images are exact, F^n a = F(F^{n-1} a); others sample an orbit
-    orbit = None if affine else CurveOrbit(F, a, res)
+    orbit = CurveOrbit(F, a, res)
     entries = []
     lower = 0.0
     upper = math.inf
-    bn = a
     for n in range(1, n_max + 1):
-        if affine:
-            bn = affine_image_curve(F, bn)
-            pair = CurvePair(a, bn)
-        else:
-            pair = orbit.pair(n, a)
-            bn = pair.b
-        if same_straight_curve(a, bn):
+        pair = orbit.pair(n, a)
+        if pair.same:
             up = 0
-        elif cls.kind == "identity" and bn.w == a.w:
+        elif cls.kind == "identity" and pair.b.w == a.w:
             up = pair.crossing_number() + 1
         else:
             up = 2 * pair.intersection_count() + 2
-        low = farey_distance(a.w, bn.w)
+        low = farey_distance(a.w, pair.b.w)
         entries.append(LengthBoundEntry(n, up, low))
         upper = min(upper, up / n)
         lower = max(lower, low / n)
@@ -515,8 +500,9 @@ def verify_certificate(cert: dict) -> dict:
     if not isinstance(cert, dict) or "type" not in cert:
         raise InputError("certificate must be a dict with a 'type' field")
     if cert["type"] == "fine_path":
-        curves = [curve_from_json(d) for d in cert["curves"]]
-        path = CertifiedPath(tuple(curves), int(cert["intersection_count"]))
+        curves = _field(
+            cert, "curves", lambda ds: tuple(curve_from_json(d) for d in ds))
+        path = CertifiedPath(curves, _field(cert, "intersection_count", int))
         ok, failed = path.verify_detail()
         budget = 2 * path.intersection_count + 2
         out = {
@@ -529,19 +515,16 @@ def verify_certificate(cert: dict) -> dict:
             out["failed_step"] = failed
         return out
     if cert["type"] == "annulus_trap":
-        F = map_from_json(cert["map"])
+        F = _field(cert, "map", map_from_json)
+        power = _field(cert, "power", int)
         again = annulus_trap_certificate(
             F,
-            Fraction(cert["lo"]),
-            Fraction(cert["hi"]),
-            max_power=int(cert["power"]),
-            samples=int(cert["samples"]),
+            _field(cert, "lo", Fraction),
+            _field(cert, "hi", Fraction),
+            max_power=power,
+            samples=_field(cert, "samples", int),
         )
-        valid = (
-            again is not None
-            and again.power <= int(cert["power"])
-            and again.margin > 0.0
-        )
+        valid = again is not None and again.power <= power and again.margin > 0.0
         return {
             "type": "annulus_trap",
             "valid": bool(valid),

@@ -257,7 +257,8 @@ _REQUIRED = object()
 
 def _field(pspec: dict, key: str, build, default=_REQUIRED):
     """build(pspec[key]); a missing field, or one build rejects with a
-    TypeError or ValueError, is an InputError naming the field."""
+    TypeError, ValueError, ArithmeticError or LookupError, is an
+    InputError naming the field."""
     if key in pspec:
         value = pspec[key]
     elif default is _REQUIRED:
@@ -266,7 +267,7 @@ def _field(pspec: dict, key: str, build, default=_REQUIRED):
         value = default
     try:
         return build(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError, LookupError) as exc:
         raise InputError(f"bad field {key!r}: {exc}") from exc
 
 

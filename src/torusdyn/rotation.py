@@ -73,13 +73,19 @@ class ConvexRegion:
             s += x0 * y1 - x1 * y0
         return 0.5 * s
 
-    def diameter(self) -> float:
+    def farthest_pair(self) -> tuple:
+        """(distance, p, q) for the first vertex pair at the diameter."""
         v = self.vertices
-        best = 0.0
+        best = (0.0, v[0], v[0])
         for i in range(len(v)):
             for j in range(i + 1, len(v)):
-                best = max(best, math.dist(v[i], v[j]))
+                d = math.dist(v[i], v[j])
+                if d > best[0]:
+                    best = (d, v[i], v[j])
         return best
+
+    def diameter(self) -> float:
+        return self.farthest_pair()[0]
 
     def min_width(self) -> float:
         """Smallest distance between parallel supporting lines."""
@@ -236,20 +242,13 @@ def _segment_label(e0, e1, thresholds: ShapeThresholds):
 
 def classify_shape(region: ConvexRegion, thresholds=None) -> Shape:
     thresholds = thresholds or DEFAULT_THRESHOLDS
-    diam = region.diameter()
+    diam, p, q = region.farthest_pair()
     width = region.min_width()
     area = region.area()
     if diam <= thresholds.eps_point:
         return Shape("point", diam, width, area, representative=region.centroid())
     if width <= thresholds.eps_width:
-        v = region.vertices
-        best = (0.0, v[0], v[0])
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                d = math.dist(v[i], v[j])
-                if d > best[0]:
-                    best = (d, v[i], v[j])
-        e0, e1 = sorted([best[1], best[2]])
+        e0, e1 = sorted([p, q])
         direction, label = _segment_label(e0, e1, thresholds)
         return Shape(
             "segment", diam, width, area,

@@ -163,6 +163,33 @@ def test_verify_tampered_certificate_fails(tmp_path, capsys):
     assert stdout.startswith("fail at step")
 
 
+HORIZONTAL = {"class": [1, 0], "verts": [["0", "1/2"]]}
+
+
+@pytest.mark.parametrize("cert, field", [
+    ({"type": "fine_path", "intersection_count": 0,
+      "curves": [{"class": [1, 0], "verts": [["nan", "0"]]}]}, "curves"),
+    ({"type": "fine_path", "intersection_count": 0,
+      "curves": [{"class": [1, 0], "verts": [["1/0", "0"]]}]}, "curves"),
+    ({"type": "fine_path", "intersection_count": 0}, "curves"),
+    ({"type": "fine_path", "intersection_count": "x",
+      "curves": [HORIZONTAL]}, "intersection_count"),
+    ({"type": "annulus_trap", "lo": "1/4", "hi": "3/4", "power": 1,
+      "samples": 16}, "map"),
+], ids=["nan_vertex", "zero_denominator", "missing_curves",
+        "bad_intersection_count", "annulus_without_map"])
+def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert,
+                                                 field):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, _, stderr = run(capsys, "verify-certificate", str(path),
+                          "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    assert repr(field) in err["message"]
+
+
 def test_malformed_input_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"w": [1, 0],\n  "verts": [[0, 0]')

@@ -55,6 +55,15 @@ def test_curve_validation():
         PLCurve(((Fraction(0), Fraction(0)),), (Fraction(1, 2), 0))
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), "abc", "1/0", None])
+def test_a_coordinate_that_is_no_rational_is_a_malformed_curve(bad):
+    with pytest.raises(MalformedCurveError):
+        PLCurve(((bad, 0),), (1, 0))
+    half = Fraction(1, 2)
+    assert curves._frac(half) is half
+
+
 def test_homology_and_essential():
     assert homology_class(horizontal_circle(F12)) == (1, 0)
     assert homology_class(vertical_circle(F14)) == (0, 1)
@@ -133,6 +142,15 @@ def test_same_straight_curve_rejects_inessential_curves():
         same_straight_curve(small, big)
     with pytest.raises(InputError):
         same_straight_curve(horizontal_circle(F12), big)
+
+
+def test_crossing_number_of_a_null_homotopic_curve():
+    """A curve of class (0, 0) is straight along no class, so it takes
+    the enumerated route: the square meets one elevation of a."""
+    q = Fraction(1, 4)
+    square = PLCurve(((q, q), (2 * q, q), (2 * q, 3 * q), (q, 3 * q)), (0, 0))
+    a = horizontal_circle(F12)
+    assert crossing_number(a, square) == brute_crossing_number(a, square) == 1
 
 
 def test_crossing_parallel_disjoint():
@@ -278,25 +296,61 @@ def test_curve_orbit_matches_fresh_images(name):
 
 
 def test_curve_orbit_on_the_suspension_denjoy_map():
-    """The Denjoy map's n-step path rounds its lifted heights once per
-    call, so an orbit walked in gaps may sit a few ulps off a fresh
-    orbit; the snapped images then agree to the snap resolution, with
-    the same class and the same counts against the probe."""
+    """The suspension Denjoy map iterates its heights step by step, so
+    an orbit walked in gaps gives, byte for byte, the fresh images."""
     F = build_map("denjoy_parabolic", k_max=2000, coords="suspension").map
-    tol = Fraction(3, curves.SNAP_DENOMINATOR)
     for a in (straight_curve((1, 0)), BENT):
         orbit = CurveOrbit(F, a, 16)
         for n in (10, 30, 100):
             walked = orbit.pair(n, a)
             fresh = curves.CurvePair(
                 a, image_curve(F, a, res=16, reference=a, n=n))
-            assert walked.b.w == fresh.b.w
-            assert len(walked.b.verts) == len(fresh.b.verts)
-            assert all(abs(p - q) <= tol
-                       for u, v in zip(walked.b.verts, fresh.b.verts)
-                       for p, q in zip(u, v))
+            assert format_curve(walked.b) == format_curve(fresh.b)
             assert walked.intersection_count() == fresh.intersection_count()
             assert walked.crossing_number() == fresh.crossing_number()
+
+
+def _count_sampling_and_contacts(monkeypatch):
+    """Lists that record the calls to curves.iterate_points and the
+    two-curve calls to curves._contacts."""
+    sampled, contacts = [], []
+    iterate, enumerate_contacts = curves.iterate_points, curves._contacts
+
+    def counted_iterate(*args):
+        sampled.append(args)
+        return iterate(*args)
+
+    def counted_contacts(*args):
+        if len(args) == 2:
+            contacts.append(args)
+        return enumerate_contacts(*args)
+
+    monkeypatch.setattr(curves, "iterate_points", counted_iterate)
+    monkeypatch.setattr(curves, "_contacts", counted_contacts)
+    return sampled, contacts
+
+
+def test_cross_check_on_an_affine_map_is_exact(monkeypatch):
+    """Affine images are exact and straight, so each count is a
+    determinant: no sampling and no contact enumeration, at any n."""
+    sampled, contacts = _count_sampling_and_contacts(monkeypatch)
+    F = build_map("anosov").map
+    report = cross_check(F, straight_curve((1, 0)), [1, 2, 4, 8, 40])
+    assert [(e.n, e.intersections, e.farey, e.error)
+            for e in report.entries] == [
+        (1, 1, 1, None), (2, 3, 2, None), (4, 21, 4, None),
+        (8, 987, 8, None), (40, 23416728348467685, 40, None)]
+    assert sampled == [] and contacts == []
+
+
+def test_cross_check_of_an_exact_image_on_the_probe():
+    """The twist maps the horizontal probe onto itself.  The exact image
+    reads as the parallel push-off that placement gives a sampled one."""
+    F = build_map("twist_model").map
+    report = cross_check(F, straight_curve((1, 0)), [1, 2])
+    assert [(e.n, e.intersections, e.crossing, e.farey, e.error)
+            for e in report.entries] == [(1, 0, 0, 0, None),
+                                         (2, 0, 0, 0, None)]
 
 
 def test_curve_orbit_iterates_must_not_decrease():

@@ -77,6 +77,13 @@ def test_parabolic_displacement_small_and_vertical():
     assert np.max(np.abs(disp)) < 0.05
 
 
+def test_parabolic_orbit_split_in_two_calls_is_one_call_bit_for_bit():
+    G = DenjoyParabolic(K_MAX, 0.5, "suspension")
+    P = np.random.RandomState(7).rand(2000, 2)
+    two = G.iterate_points(G.iterate_points(P.copy(), 7), 13)
+    assert np.array_equal(two, G.iterate_points(P.copy(), 20))
+
+
 def test_parabolic_json_round_trip():
     F = build_map("denjoy_parabolic", k_max=K_MAX).map
     clone = map_from_json(F.to_json())

@@ -53,6 +53,27 @@ def test_adjacent_twice_crossing():
     assert not adjacent(a, b)
 
 
+def test_straight_adjacency_enumerates_no_contacts(monkeypatch):
+    """Two straight curves of distinct classes cross |det| times, so
+    their adjacency needs no contact enumeration, however long they
+    are."""
+    calls = []
+    enumerate_contacts = curves._contacts
+
+    def counted(*args):
+        if len(args) == 2:
+            calls.append(args)
+        return enumerate_contacts(*args)
+
+    monkeypatch.setattr(curves, "_contacts", counted)
+    a, b = straight_curve((233, 144)), straight_curve((89, 55), (F12, 0))
+    assert 233 * 55 - 144 * 89 == -1
+    assert adjacent(a, b)
+    assert not adjacent(a, straight_curve((1, 0)))
+    assert adjacent(a, straight_curve((233, 144), (0, F12)))
+    assert calls == []
+
+
 def test_adjacent_tangency_non_generic():
     a = horizontal_circle(F12)
     bent = PLCurve(
@@ -262,6 +283,17 @@ def test_translation_length_bounds_walks_one_orbit(monkeypatch, segments):
     steps.clear()
     translation_length_bounds(build_map("anosov").map, a, 3, res=res)
     assert steps == []
+
+
+def test_translation_length_bounds_of_a_bent_curve_under_a_unit_shift():
+    """The shift maps the bent curve onto itself.  Its exact image is
+    placed off the probe, as a sampled image is, so the bound is a
+    crossing number, not a shared-subsegment error."""
+    F = LiftedMap((Translation((1.0, 0.0)),))
+    a = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))
+    tb = translation_length_bounds(F, a, 2)
+    assert [(e.n, e.upper_numerator, e.lower_numerator)
+            for e in tb.entries] == [(1, 1, 0), (2, 1, 0)]
 
 
 def test_translation_length_bounds_rejects_an_inessential_curve():
