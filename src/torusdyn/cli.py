@@ -73,9 +73,12 @@ def _parse_gallery_params(items) -> dict:
         key, _, val = item.partition("=")
         try:
             num = float(val)
-            params[key] = int(num) if num == int(num) else num
         except ValueError:
             params[key] = val
+            continue
+        if not math.isfinite(num):
+            raise InputError(f"gallery parameter {item!r} is not finite")
+        params[key] = int(num) if num == int(num) else num
     return params
 
 
@@ -196,7 +199,11 @@ def cmd_rotset(args) -> int:
     est = mz_estimate(F, args.n, args.grid, thresholds=thresholds)
     payload = {"estimate": est.to_json_dict()}
     if args.schedule:
-        schedule = [int(s) for s in args.schedule.split(",")]
+        try:
+            schedule = [int(s) for s in args.schedule.split(",")]
+        except ValueError:
+            raise InputError(
+                f"--schedule {args.schedule!r} is not a list of integers")
         config["schedule"] = schedule
         diags = convergence_diagnostics(F, schedule, args.grid)
         payload["diagnostics"] = [d.to_json_dict() for d in diags]

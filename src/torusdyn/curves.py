@@ -29,6 +29,7 @@ from .errors import (
 from .maps import LiftedMap, Linear, Translation, _mat_apply, iterate_points, linear_part
 
 BBOX_PAD = 1e-9
+PAIR_CHUNK = 256  # segments of a per vectorised bounding-box test
 SNAP_DENOMINATOR = 10**9
 IMAGE_RETRIES = 8
 
@@ -166,14 +167,14 @@ def _bbox_arrays(segments):
     return lo - BBOX_PAD, hi + BBOX_PAD
 
 
-def _pair_candidates(segs_a, segs_b, chunk: int = 256):
+def _pair_candidates(segs_a, segs_b):
     """Yield (i, j, z) with bbox(segs_a[i]) meeting bbox(segs_b[j]) + z
     for an integer vector z.  Complete over all contacts; may yield
     false positives."""
     lo_a, hi_a = _bbox_arrays(segs_a)
     lo_b, hi_b = _bbox_arrays(segs_b)
-    for start in range(0, len(segs_a), chunk):
-        sl = slice(start, min(start + chunk, len(segs_a)))
+    for start in range(0, len(segs_a), PAIR_CHUNK):
+        sl = slice(start, min(start + PAIR_CHUNK, len(segs_a)))
         zx_lo = np.ceil(lo_a[sl, 0][:, None] - hi_b[:, 0][None, :])
         zx_hi = np.floor(hi_a[sl, 0][:, None] - lo_b[:, 0][None, :])
         zy_lo = np.ceil(lo_a[sl, 1][:, None] - hi_b[:, 1][None, :])

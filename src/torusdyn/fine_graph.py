@@ -233,7 +233,7 @@ class CertifiedPath:
     """Explicit edge path in the fine curve graph from start to end.
 
     The path length certifies the distance upper bound; verify()
-    re-checks every adjacency in exact arithmetic."""
+    re-checks the JSON certificate with verify_certificate."""
 
     curves: tuple
     intersection_count: int
@@ -243,23 +243,7 @@ class CertifiedPath:
         return len(self.curves) - 1
 
     def verify(self) -> bool:
-        return self.verify_detail()[0]
-
-    def verify_detail(self):
-        """(ok, failed_step): failed_step is the index of the first
-        bad vertex or edge (edge i joins curves i and i+1), or None."""
-        if len(self.curves) < 1:
-            return False, 0
-        for i, c in enumerate(self.curves):
-            if not (is_essential_class(c.w) and is_simple(c)):
-                return False, i
-        for i, (u, v) in enumerate(zip(self.curves, self.curves[1:])):
-            try:
-                if not adjacent(u, v):
-                    return False, i
-            except NonGenericError:
-                return False, i
-        return True, None
+        return verify_certificate(self.to_json_dict())["valid"]
 
     def to_json_dict(self):
         return {
@@ -374,13 +358,6 @@ class LengthBoundEntry:
     upper_numerator: int
     lower_numerator: int
 
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "upper_numerator": self.upper_numerator,
-            "lower_numerator": self.lower_numerator,
-        }
-
 
 @dataclass(frozen=True)
 class TranslationLengthBounds:
@@ -388,22 +365,15 @@ class TranslationLengthBounds:
     on the fine curve graph along the orbit of one curve.
 
     upper is min over n of the distance bound divided by n, valid by
-    subadditivity of orbit distances; lower reports the best observed
-    Farey growth rate, valid when the Farey translation length itself
-    is the target of comparison."""
+    subadditivity of orbit distances.  lower is the largest observed
+    Farey(w, A^n w) / n, not a lower bound: on anosov with a straight
+    (2, 5) probe and n_max 6 it reads 4.0, while the translation length
+    and the Farey translation length are both 1."""
 
     lower: float
     upper: float
     entries: tuple
     route: str
-
-    def to_json_dict(self):
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "route": self.route,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
 
 
 def translation_length_bounds(
@@ -461,18 +431,13 @@ class AnnulusCertificate:
         }
 
 
-def annulus_trap_certificate(
-    F, lo, hi, max_power: int = 3, samples: int = 512
-):
-    """Search for N <= max_power with F^N(annulus) strictly inside the
-    horizontal annulus.  Returns the first certificate found or None.
-
-    The check samples the two boundary circles; it is a numerical
-    certificate whose margin quantifies the observed clearance.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
+def _annulus_margin(F, lo, hi, power: int, samples: int):
+    """Clearance inside lo <= y <= hi of F^power of its boundary circles,
+    samples points each; None outside the identity and twist classes."""
     if not lo < hi < lo + 1:
         raise InputError("annulus needs lo < hi < lo + 1")
+    if power < 1 or samples < 1:
+        raise InputError("annulus trap needs 'power' >= 1 and 'samples' >= 1")
     if isotopy_class(F).kind not in ("identity", "twist_power"):
         return None
     xs = (np.arange(samples, dtype=float) + 0.5) / samples
@@ -483,10 +448,21 @@ def annulus_trap_certificate(
             np.column_stack([xs, np.full(samples, fhi)]),
         ]
     )
+    ys = iterate_points(F, boundary, power)[:, 1]
+    return float(min(ys.min() - flo, fhi - ys.max()))
+
+
+def annulus_trap_certificate(
+    F, lo, hi, max_power: int = 3, samples: int = 512
+):
+    """Search for N <= max_power with F^N(annulus) strictly inside the
+    horizontal annulus, by _annulus_margin.  Returns the first
+    certificate found or None."""
+    lo, hi = Fraction(lo), Fraction(hi)
     for N in range(1, max_power + 1):
-        img = iterate_points(F, boundary, N)
-        ys = img[:, 1]
-        margin = float(min(ys.min() - flo, fhi - ys.max()))
+        margin = _annulus_margin(F, lo, hi, N, samples)
+        if margin is None:
+            return None
         if margin > 0.0:
             return AnnulusCertificate(
                 lo, hi, N, int(samples), margin, F.to_json()
@@ -495,39 +471,49 @@ def annulus_trap_certificate(
 
 
 def verify_certificate(cert: dict) -> dict:
-    """Re-check a serialized certificate.  Returns a report dict with
-    'valid' plus recomputed figures."""
+    """Re-check a serialized certificate from its data alone, calling no
+    producer; the report gives 'valid' and the recomputed figures.  A
+    fine_path must claim its length and the crossing count of its ends,
+    which must cross transversally.  An annulus_trap is resampled at its
+    stated power, a numerical check until the margin has an error bound."""
     if not isinstance(cert, dict) or "type" not in cert:
         raise InputError("certificate must be a dict with a 'type' field")
     if cert["type"] == "fine_path":
         curves = _field(
             cert, "curves", lambda ds: tuple(curve_from_json(d) for d in ds))
-        path = CertifiedPath(curves, _field(cert, "intersection_count", int))
-        ok, failed = path.verify_detail()
-        budget = 2 * path.intersection_count + 2
-        out = {
-            "type": "fine_path",
-            "valid": bool(ok and path.length <= budget),
-            "length": path.length,
-            "budget": budget,
-        }
-        if failed is not None:
-            out["failed_step"] = failed
+        claimed = (_field(cert, "intersection_count", int),
+                   _field(cert, "length", int))
+        length = len(curves) - 1
+        out = {"type": "fine_path", "valid": False, "length": length,
+               "budget": None}
+        if not curves:
+            return dict(out, failed_step=0)
+        for k, c in enumerate(curves):
+            if not (is_essential_class(c.w) and is_simple(c)):
+                return dict(out, failed_step=k)
+        for k, (u, v) in enumerate(zip(curves, curves[1:])):
+            try:
+                if not adjacent(u, v):
+                    return dict(out, failed_step=k)
+            except NonGenericError:
+                return dict(out, failed_step=k)
+        ends = CurvePair(curves[-1], curves[0])
+        if ends.transverse():
+            i = ends.intersection_count()
+            out["budget"] = 2 * i + 2
+            out["valid"] = claimed == (i, length) and length <= 2 * i + 2
         return out
     if cert["type"] == "annulus_trap":
-        F = _field(cert, "map", map_from_json)
-        power = _field(cert, "power", int)
-        again = annulus_trap_certificate(
-            F,
+        margin = _annulus_margin(
+            _field(cert, "map", map_from_json),
             _field(cert, "lo", Fraction),
             _field(cert, "hi", Fraction),
-            max_power=power,
-            samples=_field(cert, "samples", int),
+            _field(cert, "power", int),
+            _field(cert, "samples", int),
         )
-        valid = again is not None and again.power <= power and again.margin > 0.0
         return {
             "type": "annulus_trap",
-            "valid": bool(valid),
-            "margin": None if again is None else again.margin,
+            "valid": margin is not None and margin > 0.0,
+            "margin": margin,
         }
     raise InputError(f"unknown certificate type: {cert['type']!r}")

@@ -186,6 +186,8 @@ def build_map(name: str, **params) -> GalleryEntry:
         raise InputError(f"unknown gallery map: {name!r}")
     try:
         F, desc, expected = builder(**params)
-    except TypeError as exc:
-        raise InputError(f"bad parameters for gallery map {name!r}: {exc}")
+    except (TypeError, ValueError) as exc:
+        given = ", ".join(f"{k}={v!r}" for k, v in params.items())
+        raise InputError(
+            f"bad parameters ({given}) for gallery map {name!r}: {exc}")
     return GalleryEntry(name, F, desc, expected)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -36,6 +37,12 @@ class ShapeThresholds:
     eps_area: float = 1e-4
     rational_q_max: int = 1000
     rational_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name, value in self.to_json_dict().items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InputError(
+                    f"threshold {name!r} must be a number, not {value!r}")
 
     def to_json_dict(self):
         return {
@@ -384,16 +391,6 @@ class RotInterval:
     @property
     def length(self) -> float:
         return self.high - self.low
-
-    def to_json_dict(self):
-        return {
-            "low": self.low,
-            "high": self.high,
-            "n": self.n,
-            "samples": self.samples,
-            "curve_class": list(self.curve_class),
-            "power": self.power,
-        }
 
 
 def twist_rotation_interval(F, n: int, samples: int = 24) -> RotInterval:

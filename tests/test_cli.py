@@ -8,6 +8,7 @@ import pytest
 from torusdyn.cli import main
 from torusdyn.curves import straight_curve, write_curve
 from torusdyn.fine_graph import CertifiedPath
+from torusdyn.gallery import build_map
 
 
 def run(capsys, *argv):
@@ -163,7 +164,49 @@ def test_verify_tampered_certificate_fails(tmp_path, capsys):
     assert stdout.startswith("fail at step")
 
 
+@pytest.mark.parametrize("field, claim", [
+    ("intersection_count", 1000), ("length", 2)])
+def test_verify_recounts_the_claimed_figures(tmp_path, capsys, field, claim):
+    """The honest certificate claims i = 2 and length 3; the budget is
+    2i + 2 for the i recounted from the path's ends, not the claim."""
+    fa = curve_file(tmp_path, "a.json", (1, 0))
+    fb = curve_file(tmp_path, "b.json", (1, 2), base=("1/7", "1/11"))
+    out = str(tmp_path / "o")
+    assert run(capsys, "distance", "--curve-a", fa, "--curve-b", fb,
+               "--out", out)[0] == 0
+    cert_path = os.path.join(out, "certificate.json")
+    cert = read_json(cert_path)
+    assert (cert["intersection_count"], cert["length"]) == (2, 3)
+    cert[field] = claim
+    with open(cert_path, "w", encoding="utf-8") as fh:
+        json.dump(cert, fh)
+    code, stdout, _ = run(
+        capsys, "verify-certificate", cert_path, "--out", out)
+    assert code == 4
+    assert stdout.strip() == "fail"
+    report = read_json(os.path.join(out, "verify.json"))
+    assert (report["valid"], report["budget"], report["length"]) == (
+        False, 6, 3)
+
+
 HORIZONTAL = {"class": [1, 0], "verts": [["0", "1/2"]]}
+
+
+def test_one_curve_path_is_invalid(tmp_path, capsys):
+    """Its ends overlap, so no surgery budget applies."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"type": "fine_path", "length": 0,
+                                "intersection_count": 0,
+                                "curves": [HORIZONTAL]}))
+    out = tmp_path / "o"
+    code, stdout, _ = run(capsys, "verify-certificate", str(path),
+                          "--out", str(out))
+    assert code == 4 and stdout.strip() == "fail"
+    assert read_json(out / "verify.json")["budget"] is None
+
+
+ANNULUS = {"type": "annulus_trap", "lo": "1/4", "hi": "3/4", "power": 1,
+           "samples": 16, "map": build_map("annulus_attractor").map.to_json()}
 
 
 @pytest.mark.parametrize("cert, field", [
@@ -176,8 +219,12 @@ HORIZONTAL = {"class": [1, 0], "verts": [["0", "1/2"]]}
       "curves": [HORIZONTAL]}, "intersection_count"),
     ({"type": "annulus_trap", "lo": "1/4", "hi": "3/4", "power": 1,
       "samples": 16}, "map"),
+    (dict(ANNULUS, samples=0), "samples"),
+    (dict(ANNULUS, samples=-3), "samples"),
+    (dict(ANNULUS, power=0), "power"),
 ], ids=["nan_vertex", "zero_denominator", "missing_curves",
-        "bad_intersection_count", "annulus_without_map"])
+        "bad_intersection_count", "annulus_without_map", "zero_samples",
+        "negative_samples", "zero_power"])
 def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert,
                                                  field):
     path = tmp_path / "cert.json"
@@ -188,6 +235,30 @@ def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert,
     err = json.loads(stderr)
     assert err["error"] == "InputError"
     assert repr(field) in err["message"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("rotset", "--gallery", "translation", "--schedule", "10,x"),
+     "--schedule"),
+    (("rotset", "--gallery", "translation", "--param", "vx=inf"), "vx=inf"),
+    (("classify", "--gallery", "denjoy_parabolic", "--param", "k_max=abc"),
+     "k_max='abc'"),
+    (("gallery", "anosov", "--param", "a=x"), "a='x'"),
+    (("rotset", "--gallery", "translation", "--thresholds",
+      "thresholds.json"), "'eps_point'"),
+], ids=["schedule_not_integers", "infinite_param", "builder_rejects_param",
+        "gallery_param_not_integer", "threshold_not_a_number"])
+def test_malformed_argument_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                              argv, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "thresholds.json").write_text('{"eps_point": "x"}')
+    if argv[0] == "rotset":
+        argv += ("-n", "10", "--grid", "4")
+    code, _, stderr = run(capsys, *argv, "--out", "o")
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    assert name in err["message"]
 
 
 def test_malformed_input_reports_position(tmp_path, capsys):

@@ -316,6 +316,61 @@ def test_annulus_trap_positive_and_negative():
     assert none is None
 
 
+PRODUCERS = ("surgery_step", "upper_bound_by_intersection",
+             "annulus_trap_certificate", "_surgery_candidates",
+             "_offset_curve", "CurveOrbit")
+
+
+def test_verifier_calls_no_producer(monkeypatch):
+    a = straight_curve((0, 1), (Fraction(1, 3), Fraction(0)))
+    b = straight_curve((2, 1), (Fraction(1, 7), Fraction(1, 11)))
+    path = json.loads(json.dumps(upper_bound_by_intersection(a, b)
+                                 .to_json_dict()))
+    trap = annulus_trap_certificate(
+        build_map("annulus_attractor").map, F14, 3 * F14).to_json_dict()
+
+    def producer(*args, **kwargs):
+        raise AssertionError("the verifier called a producer")
+
+    for name in PRODUCERS:
+        monkeypatch.setattr(fine_graph, name, producer)
+    assert verify_certificate(path)["valid"]
+    assert verify_certificate(trap)["valid"]
+
+
+def test_annulus_verifier_samples_the_stated_power_once(monkeypatch):
+    """A trap that holds from power 1 on, claimed at power 3, is
+    resampled at power 3 only: no search over smaller powers."""
+    cert = annulus_trap_certificate(
+        build_map("annulus_attractor").map, F14, 3 * F14).to_json_dict()
+    cert["power"] = 3
+    steps = []
+    iterate = fine_graph.iterate_points
+
+    def counted(F, points, n):
+        steps.append(n)
+        return iterate(F, points, n)
+
+    monkeypatch.setattr(fine_graph, "iterate_points", counted)
+    report = verify_certificate(cert)
+    assert steps == [3]
+    assert report["valid"] and report["margin"] > 0.0
+
+
+def test_annulus_verifier_reports_the_recomputed_margin():
+    """Outside the trap the report gives the negative margin it
+    resampled; a map outside the identity and twist classes gives
+    none."""
+    cert = annulus_trap_certificate(
+        build_map("annulus_attractor").map, F14, 3 * F14).to_json_dict()
+    cert["map"] = LiftedMap((Translation((0.0, 0.5)),)).to_json()
+    report = verify_certificate(cert)
+    assert not report["valid"] and report["margin"] == pytest.approx(-0.5)
+    cert["map"] = build_map("anosov").map.to_json()
+    assert verify_certificate(cert) == {
+        "type": "annulus_trap", "valid": False, "margin": None}
+
+
 def test_curve_json_round_trip():
     c = straight_curve((2, 1), (Fraction(1, 5), Fraction(2, 7)))
     assert curve_from_json(curve_to_json(c)) == c

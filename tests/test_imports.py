@@ -5,6 +5,11 @@ import and dead code checks.  A name bound by a module-level import must
 be read as a name somewhere in the module; __init__.py re-exports and is
 skipped.  A module-level function or a method must be referred to
 somewhere in the package, the tests or the benchmark.
+
+The scan matches names only, not the class a method belongs to: a
+method counts as used as soon as any call names a method of the same
+name, so a dead to_json_dict on one class hides behind the live
+to_json_dict of another.
 """
 
 import ast
