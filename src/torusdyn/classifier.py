@@ -30,6 +30,8 @@ from .errors import (
     ResolutionError,
 )
 from .fine_graph import (
+    ANNULUS_POWER,
+    ANNULUS_SAMPLES,
     AnnulusCertificate,
     annulus_trap_certificate,
     farey_distance,
@@ -54,15 +56,13 @@ EPS_LEN = 0.05
 # largest denominator accepted when matching rational slopes, points
 # and interval values
 MAX_Q = 100
-# horizontal annuli probed for trap certificates, the largest iterate
-# tried per annulus and the boundary sample count per annulus check
+# horizontal annuli probed for trap certificates, each at the
+# ANNULUS_POWER and ANNULUS_SAMPLES of annulus_trap_certificate
 ANNULI = ((Fraction(1, 4), Fraction(3, 4)),
           (Fraction(1, 8), Fraction(7, 8)),
           (Fraction(3, 8), Fraction(5, 8)),
           (Fraction(0), Fraction(1, 2)),
           (Fraction(1, 2), Fraction(1)))
-ANNULUS_POWER = 3
-ANNULUS_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -140,34 +140,29 @@ def area_budget(area: float) -> float:
 
 def _segment_rational_point(shape, tol: float, max_q: int):
     """Search the classified segment for a rational point with both
-    denominators bounded by max_q within tol of the segment."""
+    denominators bounded by max_q within tol of the segment: the nearest
+    (round(x q), round(y q)) / q over q <= max_q and points (x, y)
+    sampled along it, the first met on a tie.  A zero length segment
+    takes the best approximations of its coordinates."""
     (x0, y0), (x1, y1) = shape.endpoints
     dx, dy = x1 - x0, y1 - y0
     length = math.hypot(dx, dy)
     if length == 0:
-        cands = [(Fraction(x0).limit_denominator(max_q),
-                  Fraction(y0).limit_denominator(max_q))]
-    else:
-        cands = []
-        seen = set()
-        for q in range(1, max_q + 1):
-            steps = max(2, int(length * q) + 2)
-            for s in range(steps + 1):
-                t = s / steps
-                px = x0 + t * dx
-                py = y0 + t * dy
-                fx = Fraction(round(px * q), q)
-                fy = Fraction(round(py * q), q)
-                if (fx, fy) in seen:
-                    continue
-                seen.add((fx, fy))
-                cands.append((fx, fy))
+        fx = Fraction(x0).limit_denominator(max_q)
+        fy = Fraction(y0).limit_denominator(max_q)
+        d = _segment_distance((float(fx), float(fy)), (x0, y0), (x1, y1))
+        return (fx, fy, d) if d <= tol else None
     best = None
-    for fx, fy in cands:
-        d = _segment_distance(
-            (float(fx), float(fy)), (x0, y0), (x1, y1))
-        if d <= tol and (best is None or d < best[2]):
-            best = (fx, fy, d)
+    for q in range(1, max_q + 1):
+        steps = max(2, int(length * q) + 2)
+        for s in range(steps + 1):
+            t = s / steps
+            mx = round((x0 + t * dx) * q)
+            my = round((y0 + t * dy) * q)
+            # mx / q is the correctly rounded float of the fraction
+            d = _segment_distance((mx / q, my / q), (x0, y0), (x1, y1))
+            if d <= tol and (best is None or d < best[2]):
+                best = (Fraction(mx, q), Fraction(my, q), d)
     return best
 
 
@@ -175,8 +170,7 @@ def _try_annulus_certificates(F: LiftedMap):
     """Probe the ANNULI for a trap certificate."""
     for lo, hi in ANNULI:
         try:
-            cert = annulus_trap_certificate(
-                F, lo, hi, max_power=ANNULUS_POWER, samples=ANNULUS_SAMPLES)
+            cert = annulus_trap_certificate(F, lo, hi)
         except (InapplicableError, ResolutionError, DivergenceError):
             continue
         if cert is not None:
@@ -184,74 +178,108 @@ def _try_annulus_certificates(F: LiftedMap):
     return None
 
 
-def _classify_identity(F: LiftedMap, params: ClassifyParams,
-                       route: str, notes: list) -> Classification:
-    est = mz_estimate(F, params.n, params.grid,
-                      thresholds=params.thresholds)
-    shape = est.shape
+def _anosov_route(F: LiftedMap, cls, params: ClassifyParams, notes: list):
+    tr = cls.matrix[0][0] + cls.matrix[1][1]
+    evidence = {"matrix": [list(r) for r in cls.matrix], "trace": tr}
+    notes.append(
+        "isotopic to a linear map with |trace| > 2; the action is "
+        "hyperbolic")
+    return HYPERBOLIC, evidence, None
+
+
+def _twist_route(F: LiftedMap, cls, params: ClassifyParams, notes: list):
+    interval = twist_rotation_interval(F, params.n, params.samples)
     evidence = {
-        "shape": shape.to_json_dict(),
+        "curve_class": list(cls.curve_class),
+        "power": cls.power,
+        "interval": [interval.low, interval.high],
+        "interval_length": interval.length,
         "n": params.n,
-        "grid": params.grid,
+        "samples": params.samples,
     }
+    if interval.length > EPS_LEN:
+        notes.append(
+            "twist rotation interval has positive length; the action is "
+            "hyperbolic")
+        return HYPERBOLIC, evidence, None
+    mid = 0.5 * (interval.low + interval.high)
+    frac = Fraction(mid).limit_denominator(MAX_Q)
+    if abs(float(frac) - mid) <= EPS_LEN:
+        evidence["rational_value"] = str(frac)
+        notes.append(
+            "twist rotation interval is short and sits near a low "
+            "denominator rational; consistent with an elliptic action")
+        return ELLIPTIC_CONSISTENT, evidence, None
+    notes.append(
+        "twist rotation interval is short but not resolved against "
+        "rational values; no verdict")
+    return UNDETERMINED, evidence, None
+
+
+def _rotset_route(F: LiftedMap, cls, params: ClassifyParams, notes: list):
+    if cls.kind == "finite_order":
+        notes.append(
+            f"linear part has finite order {cls.order}; classifying the "
+            "corresponding power, which is isotopic to the identity")
+        F = power(F, cls.order)
+    shape = mz_estimate(F, params.n, params.grid,
+                        thresholds=params.thresholds).shape
+    evidence = {"shape": shape.to_json_dict(), "n": params.n,
+                "grid": params.grid}
     if shape.kind == "interior":
         evidence["area"] = shape.area
         evidence["area_budget"] = area_budget(shape.area)
         notes.append(
             "rotation set estimate has nonempty interior; the action "
             "is hyperbolic with positive translation length")
-        return Classification(HYPERBOLIC, route, evidence,
-                              notes=notes, params=params)
+        return HYPERBOLIC, evidence, None
     if shape.kind == "segment":
-        if shape.slope_label["label"] == "rational":
-            hit = _segment_rational_point(
-                shape, 2.0 * params.thresholds.eps_width, MAX_Q)
-            if hit is not None:
-                fx, fy, d = hit
-                evidence["rational_point"] = [str(fx), str(fy)]
-                evidence["rational_point_distance"] = d
-                notes.append(
-                    "segment of rational slope passing near a low "
-                    "denominator rational point; consistent with an "
-                    "elliptic action")
-                cert = _try_annulus_certificates(F)
-                if cert is not None:
-                    notes.append(
-                        "trapped horizontal annulus found; upgrading "
-                        "to a certified elliptic verdict")
-                    return Classification(ELLIPTIC_CERTIFIED, route,
-                                          evidence, certificate=cert,
-                                          notes=notes, params=params)
-                return Classification(ELLIPTIC_CONSISTENT, route,
-                                      evidence, notes=notes,
-                                      params=params)
+        if shape.slope_label["label"] != "rational":
+            notes.append(
+                "segment of irrational slope; consistent with a "
+                "parabolic action")
+            return PARABOLIC_CONSISTENT, evidence, None
+        hit = _segment_rational_point(
+            shape, 2.0 * params.thresholds.eps_width, MAX_Q)
+        if hit is None:
             notes.append(
                 "segment of rational slope with no nearby low "
                 "denominator rational point; no verdict")
-            return Classification(UNDETERMINED, route, evidence,
-                                  notes=notes, params=params)
+            return UNDETERMINED, evidence, None
+        fx, fy, d = hit
+        evidence["rational_point"] = [str(fx), str(fy)]
+        evidence["rational_point_distance"] = d
         notes.append(
-            "segment of irrational slope; consistent with a parabolic "
-            "action")
-        return Classification(PARABOLIC_CONSISTENT, route, evidence,
-                              notes=notes, params=params)
-    # point or undetermined shape: a single point rotation set is
-    # compatible with every isometry type, so only an exact trapped
-    # annulus can settle anything here.
+            "segment of rational slope passing near a low denominator "
+            "rational point; consistent with an elliptic action")
+        verdict, trapped = (ELLIPTIC_CONSISTENT,
+                            "upgrading to a certified elliptic verdict")
+    else:
+        # a point or unresolved rotation set is compatible with every
+        # isometry type, so only an exact trapped annulus settles it
+        verdict, trapped = (
+            UNDETERMINED,
+            "the orbit of its core curve stays at bounded distance")
     cert = _try_annulus_certificates(F)
     if cert is not None:
+        notes.append("trapped horizontal annulus found; " + trapped)
+        return ELLIPTIC_CERTIFIED, evidence, cert
+    if verdict == UNDETERMINED:
         notes.append(
-            "trapped horizontal annulus found; the orbit of its core "
-            "curve stays at bounded distance")
-        return Classification(ELLIPTIC_CERTIFIED, route, evidence,
-                              certificate=cert, notes=notes,
-                              params=params)
-    notes.append(
-        "rotation set estimate is a point or unresolved and no "
-        "trapped annulus was found; run cross checks for crossing "
-        "number trends")
-    return Classification(UNDETERMINED, route, evidence, notes=notes,
-                          params=params)
+            "rotation set estimate is a point or unresolved and no "
+            "trapped annulus was found; run cross checks for crossing "
+            "number trends")
+    return verdict, evidence, None
+
+
+# isotopy class kind -> (route name, route); each route returns
+# (verdict, evidence, certificate or None) and appends its notes
+_ROUTES = {
+    "anosov": ("AnosovTrace", _anosov_route),
+    "twist_power": ("TwistInterval", _twist_route),
+    "identity": ("IdentityIsotopicRotSet", _rotset_route),
+    "finite_order": ("IdentityIsotopicRotSet", _rotset_route),
+}
 
 
 def classify(F: LiftedMap, params: ClassifyParams = None) -> Classification:
@@ -265,60 +293,11 @@ def classify(F: LiftedMap, params: ClassifyParams = None) -> Classification:
     """
     if params is None:
         params = ClassifyParams()
-    notes = []
     cls = isotopy_class(F)
-
-    if cls.kind == "anosov":
-        tr = cls.matrix[0][0] + cls.matrix[1][1]
-        evidence = {"matrix": [list(r) for r in cls.matrix], "trace": tr}
-        notes.append(
-            "isotopic to a linear map with |trace| > 2; the action is "
-            "hyperbolic")
-        return Classification(HYPERBOLIC, "AnosovTrace", evidence,
-                              notes=notes, params=params)
-
-    if cls.kind == "twist_power":
-        interval = twist_rotation_interval(F, params.n, params.samples)
-        evidence = {
-            "curve_class": list(cls.curve_class),
-            "power": cls.power,
-            "interval": [interval.low, interval.high],
-            "n": params.n,
-            "samples": params.samples,
-        }
-        length = interval.length
-        evidence["interval_length"] = length
-        if length > EPS_LEN:
-            notes.append(
-                "twist rotation interval has positive length; the "
-                "action is hyperbolic")
-            return Classification(HYPERBOLIC, "TwistInterval",
-                                  evidence, notes=notes, params=params)
-        mid = 0.5 * (interval.low + interval.high)
-        frac = Fraction(mid).limit_denominator(MAX_Q)
-        if abs(float(frac) - mid) <= EPS_LEN:
-            evidence["rational_value"] = str(frac)
-            notes.append(
-                "twist rotation interval is short and sits near a low "
-                "denominator rational; consistent with an elliptic "
-                "action")
-            return Classification(ELLIPTIC_CONSISTENT, "TwistInterval",
-                                  evidence, notes=notes, params=params)
-        notes.append(
-            "twist rotation interval is short but not resolved against "
-            "rational values; no verdict")
-        return Classification(UNDETERMINED, "TwistInterval", evidence,
-                              notes=notes, params=params)
-
-    if cls.kind == "finite_order":
-        notes.append(
-            f"linear part has finite order {cls.order}; classifying "
-            "the corresponding power, which is isotopic to the "
-            "identity")
-        return _classify_identity(power(F, cls.order), params,
-                                  "IdentityIsotopicRotSet", notes)
-
-    return _classify_identity(F, params, "IdentityIsotopicRotSet", notes)
+    route, decide = _ROUTES[cls.kind]
+    notes = []
+    verdict, evidence, cert = decide(F, cls, params, notes)
+    return Classification(verdict, route, evidence, cert, notes, params)
 
 
 @dataclass

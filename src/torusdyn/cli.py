@@ -196,8 +196,7 @@ def cmd_rotset(args) -> int:
         "svg": bool(args.svg),
         "cloud": bool(args.cloud),
     }
-    est = mz_estimate(F, args.n, args.grid, thresholds=thresholds)
-    payload = {"estimate": est.to_json_dict()}
+    payload = {}
     if args.schedule:
         try:
             schedule = [int(s) for s in args.schedule.split(",")]
@@ -207,6 +206,8 @@ def cmd_rotset(args) -> int:
         config["schedule"] = schedule
         diags = convergence_diagnostics(F, schedule, args.grid)
         payload["diagnostics"] = [d.to_json_dict() for d in diags]
+    est = mz_estimate(F, args.n, args.grid, thresholds=thresholds)
+    payload["estimate"] = est.to_json_dict()
     out = _outdir(args)
     _hull_csv(os.path.join(out, "hull.csv"), est.hull)
     _dump_json(os.path.join(out, "rotset.json"),
@@ -354,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="isometry type classification")
     _add_map_args(p)
-    p.add_argument("-n", "--n", type=int, default=1000)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--samples", type=int, default=24)
+    p.add_argument("-n", "--n", type=int, default=ClassifyParams.n)
+    p.add_argument("--grid", type=int, default=ClassifyParams.grid)
+    p.add_argument("--samples", type=int, default=ClassifyParams.samples)
     p.add_argument("--thresholds", help="shape thresholds JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_classify)

@@ -86,10 +86,6 @@ class PLCurve:
         )
 
 
-def homology_class(c: PLCurve) -> tuple:
-    return c.w
-
-
 def is_essential_class(w) -> bool:
     return w != (0, 0) and math.gcd(abs(w[0]), abs(w[1])) == 1
 
@@ -349,16 +345,6 @@ def _is_straight(c: PLCurve) -> bool:
     return all(
         (v[0] - v0[0]) * w[1] - (v[1] - v0[1]) * w[0] == 0 for v in c.verts
     )
-
-
-def same_straight_curve(a: PLCurve, b: PLCurve) -> bool:
-    """Whether two straight curves are the same subset of the torus.
-
-    Both classes must be primitive and nonzero: straightness is measured
-    along the class, so every null-homotopic curve would pass."""
-    if not (is_essential_class(a.w) and is_essential_class(b.w)):
-        raise InputError("straight curve comparison needs essential classes")
-    return CurvePair(a, b).same
 
 
 # ---------------------------------------------------------------------------

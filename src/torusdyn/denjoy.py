@@ -39,6 +39,9 @@ from .errors import InputError
 from .maps import CustomPrimitive, register_custom
 
 GOLDEN_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
+# largest truncation a Denjoy map accepts: the circle's tables take
+# about 480 bytes per gap, so 10^6 gaps take about 480 MB
+K_MAX_LIMIT = 10**6
 
 _BISECT_STEPS = 60
 
@@ -57,9 +60,7 @@ class DenjoyCircle:
 
     _cache: dict = {}
 
-    def __init__(self, k_max: int = 10000):
-        if k_max < 2:
-            raise InputError("k_max must be at least 2")
+    def __init__(self, k_max: int):
         self.k_max = int(k_max)
         self.alpha = GOLDEN_ALPHA
         ks = np.arange(-self.k_max, self.k_max + 1)
@@ -85,7 +86,7 @@ class DenjoyCircle:
         self._build_map()
 
     @classmethod
-    def shared(cls, k_max: int = 10000) -> "DenjoyCircle":
+    def shared(cls, k_max: int) -> "DenjoyCircle":
         if k_max not in cls._cache:
             cls._cache[k_max] = cls(k_max)
         return cls._cache[k_max]
@@ -185,21 +186,17 @@ class DenjoyCircle:
 
     # -- gap location -------------------------------------------------------
 
-    def locate(self, x: np.ndarray, j: np.ndarray = None):
-        """For points of the circle [0, 1]: gap index array (by table
-        position), relative position in the gap, and an in-gap mask.
-        The knot interval j of x, when known, replaces the search."""
-        if j is None:
-            i = np.searchsorted(self.gap_lo, x, side="right") - 1
-            i = np.clip(i, 0, len(self.gap_lo) - 1)
-        else:
-            i = np.minimum(j >> 1, len(self.gap_lo) - 1)
+    def locate(self, x: np.ndarray, j: np.ndarray):
+        """For points of the circle [0, 1] in knot intervals j: gap
+        index array (by table position), relative position in the gap,
+        and an in-gap mask."""
+        i = np.minimum(j >> 1, len(self.gap_lo) - 1)
         inside = (x > self.gap_lo[i]) & (x < self.gap_hi[i])
         width = self.gap_hi[i] - self.gap_lo[i]
         rel = np.where(inside, (x - self.gap_lo[i]) / width, 0.0)
         return i, rel, inside
 
-    def cantor_distance(self, x: np.ndarray, j: np.ndarray = None) -> np.ndarray:
+    def cantor_distance(self, x: np.ndarray, j: np.ndarray) -> np.ndarray:
         i, rel, inside = self.locate(x, j)
         width = self.gap_hi[i] - self.gap_lo[i]
         return np.where(inside, np.minimum(rel, 1.0 - rel) * width, 0.0)
@@ -246,18 +243,34 @@ class DenjoyCircle:
 
 
 @dataclass(frozen=True)
-class DenjoyParabolic(CustomPrimitive):
+class _OnDenjoyCircle(CustomPrimitive):
+    """A primitive on the suspension of the Denjoy circle truncated at
+    k_max, which must lie in [2, K_MAX_LIMIT]."""
+
+    k_max: int = 10000
+
+    def __post_init__(self):
+        if not 2 <= self.k_max <= K_MAX_LIMIT:
+            raise InputError(
+                f"k_max must lie in [2, {K_MAX_LIMIT}], not {self.k_max!r}")
+
+    def _circle(self) -> DenjoyCircle:
+        return DenjoyCircle.shared(self.k_max)
+
+
+@dataclass(frozen=True)
+class DenjoyParabolic(_OnDenjoyCircle):
     """Parabolic-type homeomorphism: in suspension coordinates it moves
     points vertically by eta(xi) e^{-|tau|} inside the suspended gap
     column and fixes the suspended Cantor set."""
 
-    k_max: int = 10000
     eps: float = 0.5
     coords: str = "torus"
 
     name = "denjoy_parabolic"
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.eps < 1.0:
             raise InputError("bump amplitude must lie in (0, 1)")
         if self.coords not in ("torus", "suspension"):
@@ -265,9 +278,6 @@ class DenjoyParabolic(CustomPrimitive):
 
     def params(self):
         return {"k_max": self.k_max, "eps": self.eps, "coords": self.coords}
-
-    def _circle(self) -> DenjoyCircle:
-        return DenjoyCircle.shared(self.k_max)
 
     def iterate_points(self, P: np.ndarray, n: int) -> np.ndarray:
         dc = self._circle()
@@ -281,7 +291,8 @@ class DenjoyParabolic(CustomPrimitive):
             # graphs over x.
             x = np.asarray(P[:, 0], dtype=float)
             t = np.asarray(P[:, 1], dtype=float)
-        i, rel, inside = dc.locate(x - np.floor(x))
+        r = x - np.floor(x)
+        i, rel, inside = dc.locate(r, dc.interval(r))
         # eta is zero outside the gaps, where t does not move
         k = dc.ks[i[inside]]
         eta = self.eps * np.sin(np.pi * rel[inside]) ** 2
@@ -300,7 +311,7 @@ class DenjoyParabolic(CustomPrimitive):
 
 
 @dataclass(frozen=True)
-class DenjoyFlow(CustomPrimitive):
+class DenjoyFlow(_OnDenjoyCircle):
     """Time one map of the vertical suspension flow slowed to rest
     exactly on the suspended Cantor set.
 
@@ -311,20 +322,17 @@ class DenjoyFlow(CustomPrimitive):
     form piece by piece.
     """
 
-    k_max: int = 10000
     w_fraction: float = 16.0
 
     name = "denjoy_flow"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.w_fraction <= 2.0:
             raise InputError("w_fraction must exceed 2")
 
     def params(self):
         return {"k_max": self.k_max, "w_fraction": self.w_fraction}
-
-    def _circle(self) -> DenjoyCircle:
-        return DenjoyCircle.shared(self.k_max)
 
     def _chi0(self, dc: DenjoyCircle, x: np.ndarray, j: np.ndarray) -> np.ndarray:
         w = (dc.j0_hi - dc.j0_lo) / self.w_fraction

@@ -452,8 +452,14 @@ def _annulus_margin(F, lo, hi, power: int, samples: int):
     return float(min(ys.min() - flo, fhi - ys.max()))
 
 
+# the largest iterate tried per annulus and the boundary sample count
+# per annulus check
+ANNULUS_POWER = 3
+ANNULUS_SAMPLES = 512
+
+
 def annulus_trap_certificate(
-    F, lo, hi, max_power: int = 3, samples: int = 512
+    F, lo, hi, max_power: int = ANNULUS_POWER, samples: int = ANNULUS_SAMPLES
 ):
     """Search for N <= max_power with F^N(annulus) strictly inside the
     horizontal annulus, by _annulus_margin.  Returns the first

@@ -591,23 +591,19 @@ class CyclicLift:
         return P
 
 
-def cyclic_lift(F: LiftedMap, curve_class=None) -> CyclicLift:
+def cyclic_lift(F: LiftedMap) -> CyclicLift:
     """Cyclic cover lift.
 
     For twist-power maps the cover is the one associated to the twist
-    curve class.  Identity-isotopic maps lift to the cover of any
-    primitive class (default (1, 0)).  Anosov maps have no invariant
-    class and are rejected.
+    curve class; identity-isotopic maps lift to the cover of (1, 0).
+    Other maps have no invariant class to lift along and are rejected.
     """
     cls = isotopy_class(F)
     if cls.kind == "twist_power":
         curve_class = cls.curve_class
         twist_power = cls.power
     elif cls.kind == "identity":
-        curve_class = (1, 0) if curve_class is None else (
-            int(curve_class[0]), int(curve_class[1]))
-        if math.gcd(abs(curve_class[0]), abs(curve_class[1])) != 1:
-            raise InputError("cover class must be primitive")
+        curve_class = (1, 0)
         twist_power = 0
     else:
         raise UnsupportedMapError(

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InapplicableError, InputError
 from .maps import (
-    CyclicLift,
     LiftedMap,
     cyclic_lift,
     isotopy_class,
@@ -393,20 +392,14 @@ class RotInterval:
         return self.high - self.low
 
 
-def twist_rotation_interval(F, n: int, samples: int = 24) -> RotInterval:
-    """Sampled vertical rotation interval on the cyclic cover.
-
-    Accepts a twist-power LiftedMap or a prepared CyclicLift.  Samples
-    the lattice (i/s, j/s) so exact low-period fibers are hit exactly.
+def twist_rotation_interval(F: LiftedMap, n: int, samples: int) -> RotInterval:
+    """Sampled vertical rotation interval of a twist-power or identity
+    isotopic map, on its cyclic_lift cover.  Samples the lattice
+    (i/s, j/s) so exact low-period fibers are hit exactly.
     """
     if n < 1 or int(n) != n:
         raise InputError("n must be a positive integer")
-    if isinstance(F, CyclicLift):
-        lift = F
-    elif isinstance(F, LiftedMap):
-        lift = cyclic_lift(F)
-    else:
-        raise InputError("expected a LiftedMap or CyclicLift")
+    lift = cyclic_lift(F)
     s = int(samples)
     if s < 1:
         raise InputError("samples must be positive")

@@ -235,6 +235,38 @@ def hausdorff_oracle(verts_a, verts_b, per_edge: int = 200) -> float:
 
 
 # ---------------------------------------------------------------------------
+# low denominator rational points near a segment, by enumeration
+
+
+def segment_rational_point_oracle(a, b, tol: float, max_q: int):
+    """(x, y, d) for the candidate nearest to the segment ab within tol,
+    or None.  The candidates are every distinct (round(p q)/q) over
+    q <= max_q and points p sampled along ab, in the order first met;
+    the first one wins a tie.  A zero length segment has one candidate,
+    the best approximations of its coordinates."""
+    (x0, y0), (x1, y1) = a, b
+    dx, dy = x1 - x0, y1 - y0
+    length = math.hypot(dx, dy)
+    if length == 0:
+        cands = [(Fraction(x0).limit_denominator(max_q),
+                  Fraction(y0).limit_denominator(max_q))]
+    else:
+        cands = {}  # insertion ordered: a repeat keeps its first place
+        for q in range(1, max_q + 1):
+            steps = max(2, int(length * q) + 2)
+            for s in range(steps + 1):
+                t = s / steps
+                cands.setdefault((Fraction(round((x0 + t * dx) * q), q),
+                                  Fraction(round((y0 + t * dy) * q), q)))
+    best = None
+    for fx, fy in cands:
+        d = _point_to_poly((float(fx), float(fy)), (a, b))
+        if d <= tol and (best is None or d < best[2]):
+            best = (fx, fy, d)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # random simple rational curves for the exactness suites
 
 

@@ -1,13 +1,22 @@
 """Tests for the isometry type classifier and the cross check report."""
 
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from torusdyn.classifier import (
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import segment_rational_point_oracle  # noqa: E402
+
+from torusdyn.classifier import (  # noqa: E402
+    MAX_Q,
     ClassifyParams,
+    _segment_rational_point,
     area_budget,
     classify,
     cross_check,
@@ -82,6 +91,39 @@ def test_hyperbolic_interior_reports_budget():
     ev = result.evidence
     assert ev["area"] > 0.5
     assert ev["area_budget"] == pytest.approx(area_budget(ev["area"]))
+
+
+def _random_segment(rng):
+    """Endpoints on or near a 1/8 lattice point, along a low denominator
+    slope or any direction; one segment in four has zero length."""
+    def coord():
+        return rng.randrange(-8, 17) / 8 + rng.choice([0.0, 1e-3, 0.02]) * (
+            rng.random() - 0.5)
+
+    a = (coord(), coord())
+    if rng.random() < 0.25:
+        return a, a
+    if rng.random() < 0.5:
+        ux, uy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (3, 1)])
+    else:
+        ux, uy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+    r = rng.uniform(0.0, 0.4) / math.hypot(ux, uy)
+    return a, (a[0] + r * ux, a[1] + r * uy)
+
+
+def test_segment_rational_point_matches_the_oracle():
+    rng = random.Random(24)
+    found = 0
+    for k in range(1500):
+        a, b = _random_segment(rng)
+        tol = rng.choice([1e-4, 1e-3, 1e-2, 0.05])
+        max_q = MAX_Q if k % 100 == 0 else rng.randint(1, 30)
+        got = _segment_rational_point(
+            SimpleNamespace(endpoints=(a, b)), tol, max_q)
+        assert got == segment_rational_point_oracle(a, b, tol, max_q), (
+            a, b, tol, max_q)
+        found += got is not None
+    assert 300 < found < 1400
 
 
 @pytest.mark.parametrize("seed", range(4))

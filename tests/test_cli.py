@@ -2,9 +2,11 @@
 
 import json
 import os
+import sys
 
 import pytest
 
+from torusdyn import maps
 from torusdyn.cli import main
 from torusdyn.curves import straight_curve, write_curve
 from torusdyn.fine_graph import CertifiedPath
@@ -243,11 +245,14 @@ def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert,
     (("rotset", "--gallery", "translation", "--param", "vx=inf"), "vx=inf"),
     (("classify", "--gallery", "denjoy_parabolic", "--param", "k_max=abc"),
      "k_max='abc'"),
+    (("classify", "--gallery", "denjoy_parabolic", "--param",
+      "k_max=1000000000"), "k_max"),
     (("gallery", "anosov", "--param", "a=x"), "a='x'"),
     (("rotset", "--gallery", "translation", "--thresholds",
       "thresholds.json"), "'eps_point'"),
 ], ids=["schedule_not_integers", "infinite_param", "builder_rejects_param",
-        "gallery_param_not_integer", "threshold_not_a_number"])
+        "denjoy_k_max_too_large", "gallery_param_not_integer",
+        "threshold_not_a_number"])
 def test_malformed_argument_is_an_input_error(tmp_path, capsys, monkeypatch,
                                               argv, name):
     monkeypatch.chdir(tmp_path)
@@ -259,6 +264,27 @@ def test_malformed_argument_is_an_input_error(tmp_path, capsys, monkeypatch,
     err = json.loads(stderr)
     assert err["error"] == "InputError"
     assert name in err["message"]
+
+
+def test_bad_schedule_fails_before_any_orbit_work(tmp_path, capsys,
+                                                  monkeypatch):
+    real = maps.iterate_points
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("torusdyn")
+                and getattr(mod, "iterate_points", None) is real):
+            monkeypatch.setattr(mod, "iterate_points", counted)
+    code, _, stderr = run(
+        capsys, "rotset", "--gallery", "mz_interior", "-n", "2000",
+        "--grid", "64", "--schedule", "10,5", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "strictly increasing" in json.loads(stderr)["message"]
+    assert calls == []
 
 
 def test_malformed_input_reports_position(tmp_path, capsys):

@@ -22,11 +22,11 @@ from torusdyn.gallery import build_map  # noqa: E402
 from torusdyn.maps import Linear, LiftedMap, Translation  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
     CurveOrbit,
+    CurvePair,
     PLCurve,
     affine_image_curve,
     crossing_number,
     format_curve,
-    homology_class,
     horizontal_circle,
     image_curve,
     intersection_count,
@@ -35,7 +35,6 @@ from torusdyn.curves import (  # noqa: E402
     is_simple,
     lift_to_cover,
     parse_curve,
-    same_straight_curve,
     straight_curve,
     vertical_circle,
     write_curve,
@@ -65,8 +64,8 @@ def test_a_coordinate_that_is_no_rational_is_a_malformed_curve(bad):
 
 
 def test_homology_and_essential():
-    assert homology_class(horizontal_circle(F12)) == (1, 0)
-    assert homology_class(vertical_circle(F14)) == (0, 1)
+    assert horizontal_circle(F12).w == (1, 0)
+    assert vertical_circle(F14).w == (0, 1)
     assert is_essential_class((2, 3))
     assert not is_essential_class((0, 0))
     assert not is_essential_class((2, 4))
@@ -129,19 +128,7 @@ def test_crossing_parallel_overlap_non_generic():
     b = horizontal_circle(F12)
     with pytest.raises(NonGenericError):
         crossing_number(a, b)
-    assert same_straight_curve(a, b)
-
-
-def test_same_straight_curve_rejects_inessential_curves():
-    # with class (0, 0) every curve is vacuously straight
-    q = Fraction(1, 4)
-    small = PLCurve(((q, q), (2 * q, q), (2 * q, 2 * q), (q, 2 * q)), (0, 0))
-    z, t = Fraction(0), 3 * q
-    big = PLCurve(((z, z), (t, z), (t, t), (z, t)), (0, 0))
-    with pytest.raises(InputError):
-        same_straight_curve(small, big)
-    with pytest.raises(InputError):
-        same_straight_curve(horizontal_circle(F12), big)
+    assert CurvePair(a, b).same
 
 
 def test_crossing_number_of_a_null_homotopic_curve():

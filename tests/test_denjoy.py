@@ -138,6 +138,11 @@ def test_parabolic_parameter_validation():
         DenjoyParabolic(K_MAX, 0.5, "weird")
     with pytest.raises(InputError):
         DenjoyFlow(K_MAX, 1.0)
+    # k_max is checked when the map is built, before the circle exists
+    for cls in (DenjoyParabolic, DenjoyFlow):
+        for k_max in (1, 10**6 + 1):
+            with pytest.raises(InputError, match="k_max"):
+                cls(k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from oracles import hausdorff_oracle  # noqa: E402
 
 from torusdyn.errors import InapplicableError, InputError  # noqa: E402
 from torusdyn.gallery import build_map  # noqa: E402
-from torusdyn.maps import Linear, LiftedMap, Translation, cyclic_lift  # noqa: E402
+from torusdyn.maps import Linear, LiftedMap, Translation  # noqa: E402
 from torusdyn.rotation import (  # noqa: E402
     ConvexRegion,
     ShapeThresholds,
@@ -141,15 +141,15 @@ def test_diagnostics_hausdorff_to_final():
 
 
 def test_twist_interval_model_twist_zero():
-    lift = cyclic_lift(LiftedMap((Linear(((1, 1), (0, 1))),)))
-    iv = twist_rotation_interval(lift, 100, 16)
+    F = LiftedMap((Linear(((1, 1), (0, 1))),))
+    iv = twist_rotation_interval(F, 100, 16)
     assert iv.low == pytest.approx(0.0, abs=1e-12)
     assert iv.high == pytest.approx(0.0, abs=1e-12)
 
 
 def test_twist_interval_translation():
-    lift = cyclic_lift(LiftedMap((Translation((0.3, 0.7)),)))
-    iv = twist_rotation_interval(lift, 50, 8)
+    F = LiftedMap((Translation((0.3, 0.7)),))
+    iv = twist_rotation_interval(F, 50, 8)
     assert iv.low == pytest.approx(0.7, abs=1e-9)
     assert iv.high == pytest.approx(0.7, abs=1e-9)
 
