@@ -186,6 +186,9 @@ def _outdir(args) -> str:
 def cmd_rotset(args) -> int:
     if args.cloud and not args.svg:
         raise InputError("--cloud draws into the SVG; it needs --svg")
+    if args.n < 1:
+        # before the diagnostics iterate anything
+        raise InputError("estimation time n must be a positive integer")
     F, map_echo = _load_map(args)
     thresholds = _load_thresholds(args.thresholds)
     config = {

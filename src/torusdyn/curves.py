@@ -4,10 +4,11 @@ A curve is stored as one period of a lift: a chain of rational vertices
 v_0 ... v_{k-1} in R^2 plus the integer closing displacement w, so the
 chain continues with v_0 + w.  The displacement is the homology class.
 All predicates (simplicity, intersection, crossing numbers) are decided
-in exact rational arithmetic over integer deck translates, with a float
-bounding box prefilter that only prunes, never decides.  Every predicate
-runs on one enumeration of segment contacts, and intersection records
-carry the cyclic parameter of the point on both curves.
+exactly over integer deck translates, in integers over each segment's
+common denominator, with a Fraction built only for a contact point; a
+float bounding box prefilter only prunes, never decides.  Every
+predicate runs on one enumeration of segment contacts, and intersection
+records carry the cyclic parameter of the point on both curves.
 """
 
 from __future__ import annotations
@@ -110,67 +111,88 @@ def vertical_circle(x) -> PLCurve:
 # exact segment predicates
 
 
-def _cross3(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _seg_contact(p1, p2, q1, q2):
-    """Contact of two closed rational segments.
+def _seg_contact(a, b, z, seg):
+    """Contact of the closed segment a with the closed segment b + z.
 
+    a and b are integer ends over each segment's common denominator, as
+    built by _integer_ends, and seg is a as a pair of rational points.
     Returns ('none', None), ('point', pt) or ('overlap', None); the
-    overlap case means a common subsegment of positive length.
+    overlap case means a common subsegment of positive length.  Every
+    sign is decided on integers: a crossing point is the one Fraction
+    built, and a collinear touch returns an end of seg.
     """
-    d1 = _cross3(p1, p2, q1)
-    d2 = _cross3(p1, p2, q2)
-    d3 = _cross3(q1, q2, p1)
-    d4 = _cross3(q1, q2, p2)
-    if d1 == 0 and d2 == 0:
-        axis = 0 if abs(p2[0] - p1[0]) >= abs(p2[1] - p1[1]) else 1
-        a0, a1 = sorted((p1[axis], p2[axis]))
-        b0, b1 = sorted((q1[axis], q2[axis]))
-        lo, hi = max(a0, b0), min(a1, b1)
+    ax1, ay1, ax2, ay2, da = a
+    bx1, by1, bx2, by2, db = b
+    ux, uy = ax2 - ax1, ay2 - ay1
+    vx, vy = bx2 - bx1, by2 - by1
+    # the first end of b + z less the first end of a, over da * db
+    wx = (bx1 + z[0] * db) * da - ax1 * db
+    wy = (by1 + z[1] * db) * da - ay1 * db
+    # orientations of the ends of b + z against a, and of the ends of a
+    # against b + z, each pair scaled by one positive factor
+    c = ux * vy - uy * vx
+    d1 = ux * wy - uy * wx
+    d2 = d1 + da * c
+    if d1 == 0 and c == 0:
+        if abs(ux) >= abs(uy):
+            s, t0, t1 = ux * db, wx, wx + vx * da
+        else:
+            s, t0, t1 = uy * db, wy, wy + vy * da
+        lo = max(min(0, s), min(t0, t1))
+        hi = min(max(0, s), max(t0, t1))
         if lo > hi:
             return ("none", None)
         if lo < hi:
             return ("overlap", None)
-        pt = p1 if p1[axis] == lo else p2
-        return ("point", pt)
+        return ("point", seg[0] if lo == 0 else seg[1])
     if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
         return ("none", None)
+    d3 = wx * vy - wy * vx
+    d4 = d3 - db * c
     if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
         return ("none", None)
-    t = d3 / (d3 - d4)
-    pt = (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-    return ("point", pt)
+    den = d3 - d4
+    return ("point", (Fraction(ax1 * den + d3 * ux, da * den),
+                      Fraction(ay1 * den + d3 * uy, da * den)))
 
 
 # ---------------------------------------------------------------------------
 # candidate generation: float bounding boxes over integer translates
 
 
-def _bbox_arrays(segments):
-    lo = np.empty((len(segments), 2))
-    hi = np.empty((len(segments), 2))
-    for i, (p, q) in enumerate(segments):
-        px, py = float(p[0]), float(p[1])
-        qx, qy = float(q[0]), float(q[1])
-        lo[i, 0], hi[i, 0] = min(px, qx), max(px, qx)
-        lo[i, 1], hi[i, 1] = min(py, qy), max(py, qy)
-    return lo - BBOX_PAD, hi + BBOX_PAD
+def _integer_ends(segments):
+    """Each segment's ends over the lcm d of their four denominators,
+    (px, py, qx, qy, d), and the float bounding boxes (lo, hi) of the
+    segments.  int / int rounds correctly, as float() of a Fraction
+    does, so the boxes are those of the rational ends."""
+    ends, box = [], []
+    for (p0, p1), (q0, q1) in segments:
+        d = math.lcm(p0.denominator, p1.denominator,
+                     q0.denominator, q1.denominator)
+        px = p0.numerator * (d // p0.denominator)
+        py = p1.numerator * (d // p1.denominator)
+        qx = q0.numerator * (d // q0.denominator)
+        qy = q1.numerator * (d // q1.denominator)
+        ends.append((px, py, qx, qy, d))
+        fpx, fpy, fqx, fqy = px / d, py / d, qx / d, qy / d
+        box.append((min(fpx, fqx), min(fpy, fqy),
+                    max(fpx, fqx), max(fpy, fqy)))
+    box = np.array(box)
+    return ends, (box[:, :2] - BBOX_PAD, box[:, 2:] + BBOX_PAD)
 
 
-def _pair_candidates(segs_a, segs_b):
-    """Yield (i, j, z) with bbox(segs_a[i]) meeting bbox(segs_b[j]) + z
-    for an integer vector z.  Complete over all contacts; may yield
-    false positives."""
-    lo_a, hi_a = _bbox_arrays(segs_a)
-    lo_b, hi_b = _bbox_arrays(segs_b)
-    for start in range(0, len(segs_a), PAIR_CHUNK):
-        sl = slice(start, min(start + PAIR_CHUNK, len(segs_a)))
+def _pair_candidates(box_a, box_b):
+    """Yield (i, j, z) with box_a[i] meeting box_b[j] + z for an integer
+    vector z, the boxes as built by _integer_ends.  Complete over all
+    contacts; may yield false positives."""
+    lo_a, hi_a = box_a
+    lo_b, hi_b = box_b
+    for start in range(0, len(lo_a), PAIR_CHUNK):
+        sl = slice(start, min(start + PAIR_CHUNK, len(lo_a)))
         zx_lo = np.ceil(lo_a[sl, 0][:, None] - hi_b[:, 0][None, :])
         zx_hi = np.floor(hi_a[sl, 0][:, None] - lo_b[:, 0][None, :])
         zy_lo = np.ceil(lo_a[sl, 1][:, None] - hi_b[:, 1][None, :])
@@ -184,14 +206,6 @@ def _pair_candidates(segs_a, segs_b):
                     yield i, j, (zx, zy)
 
 
-def _translate_seg(seg, z):
-    (p, q) = seg
-    return (
-        (p[0] + z[0], p[1] + z[1]),
-        (q[0] + z[0], q[1] + z[1]),
-    )
-
-
 def _contacts(segs_a, segs_b=None):
     """Yield (i, j, z, kind, pt) for every non-empty contact of
     segs_a[i] with segs_b[j] + z, kind and pt as in _seg_contact.
@@ -200,12 +214,12 @@ def _contacts(segs_a, segs_b=None):
     (j, i, -z) describe the same segment pair, so only i < j, or i == j
     with z > (0, 0), is tested."""
     own = segs_b is None
-    if own:
-        segs_b = segs_a
-    for i, j, z in _pair_candidates(segs_a, segs_b):
+    ends_a, box_a = _integer_ends(segs_a)
+    ends_b, box_b = (ends_a, box_a) if own else _integer_ends(segs_b)
+    for i, j, z in _pair_candidates(box_a, box_b):
         if own and (i > j or (i == j and z <= (0, 0))):
             continue
-        kind, pt = _seg_contact(*segs_a[i], *_translate_seg(segs_b[j], z))
+        kind, pt = _seg_contact(ends_a[i], ends_b[j], z, segs_a[i])
         if kind != "none":
             yield i, j, z, kind, pt
 
@@ -343,7 +357,8 @@ def _is_straight(c: PLCurve) -> bool:
     v0 = c.verts[0]
     w = c.w
     return all(
-        (v[0] - v0[0]) * w[1] - (v[1] - v0[1]) * w[0] == 0 for v in c.verts
+        (v[0] - v0[0]) * w[1] - (v[1] - v0[1]) * w[0] == 0
+        for v in c.verts[1:]
     )
 
 

@@ -266,8 +266,9 @@ def test_malformed_argument_is_an_input_error(tmp_path, capsys, monkeypatch,
     assert name in err["message"]
 
 
-def test_bad_schedule_fails_before_any_orbit_work(tmp_path, capsys,
-                                                  monkeypatch):
+def count_orbit_work(monkeypatch) -> list:
+    """The list that every iterate_points call of the package appends
+    its arguments to."""
     real = maps.iterate_points
     calls = []
 
@@ -279,11 +280,29 @@ def test_bad_schedule_fails_before_any_orbit_work(tmp_path, capsys,
         if (getattr(mod, "__name__", "").startswith("torusdyn")
                 and getattr(mod, "iterate_points", None) is real):
             monkeypatch.setattr(mod, "iterate_points", counted)
+    return calls
+
+
+def test_bad_schedule_fails_before_any_orbit_work(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = count_orbit_work(monkeypatch)
     code, _, stderr = run(
         capsys, "rotset", "--gallery", "mz_interior", "-n", "2000",
         "--grid", "64", "--schedule", "10,5", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "strictly increasing" in json.loads(stderr)["message"]
+    assert calls == []
+
+
+def test_bad_n_fails_before_the_diagnostics(tmp_path, capsys, monkeypatch):
+    calls = count_orbit_work(monkeypatch)
+    code, _, stderr = run(
+        capsys, "rotset", "--gallery", "mz_interior", "-n", "0",
+        "--schedule", "10,50", "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    assert err["message"] == "estimation time n must be a positive integer"
     assert calls == []
 
 

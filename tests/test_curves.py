@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_crossing_number, random_simple_curve  # noqa: E402
+from oracles import (  # noqa: E402
+    _on_segment,
+    _orient,
+    brute_crossing_number,
+    random_simple_curve,
+    segments_touch,
+)
 
 from torusdyn import curves  # noqa: E402
 from torusdyn.classifier import cross_check  # noqa: E402
@@ -144,6 +150,103 @@ def test_crossing_parallel_disjoint():
     a = horizontal_circle(F12)
     b = horizontal_circle(F14)
     assert crossing_number(a, b) == 0
+
+
+def _segment_case(rng):
+    """A segment a, a segment b and a translate z that puts b + z in a
+    chosen position against a: anywhere, at an end or an inner point
+    of a, on the line of a, or parallel to it."""
+    den = rng.choice([8, 10**6, 10**20, 10**60])
+
+    def rational(lo, hi):
+        d = rng.randint(1, den)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    def point():
+        return (rational(-2, 2), rational(-2, 2))
+
+    def near(p):
+        q = (p[0] + rational(-1, 1), p[1] + rational(-1, 1))
+        return q if q != p else near(p)
+
+    a0 = point()
+    a1 = near(a0)
+    z = (rng.randint(-2, 2), rng.randint(-2, 2))
+    u = (a1[0] - a0[0], a1[1] - a0[1])
+
+    def on_line(t, off=(0, 0)):
+        return (a0[0] + t * u[0] - z[0] + off[0],
+                a0[1] + t * u[1] - z[1] + off[1])
+
+    kind = rng.choice(["random", "end", "inner", "line", "parallel"])
+    if kind in ("line", "parallel"):
+        # on the line, ends at 0 or 1 give collinear touches and others
+        # overlaps or gaps; a tiny offset makes the pair parallel
+        t0 = rng.choice([Fraction(0), Fraction(1), rational(-1, 2)])
+        t1 = rng.choice([Fraction(0), Fraction(1), rational(-1, 2)])
+        while t1 == t0:
+            t1 = rational(-1, 2)
+        off = (0, 0)
+        if kind == "parallel":
+            off = (rational(-1, 1) / den, rational(-1, 1) / den)
+        b0, b1 = on_line(t0, off), on_line(t1, off)
+    else:
+        if kind == "random":
+            b0 = point()
+        elif kind == "end":
+            b0 = on_line(rng.choice([0, 1]))
+        else:
+            b0 = on_line(rational(0, 1))
+        b1 = near(b0)
+    if rng.random() < 0.5:
+        b0, b1 = b1, b0
+    return (a0, a1), (b0, b1)
+
+
+def test_segment_contacts_match_the_oracle():
+    """Every integer translate of b meets a exactly when the oracle's
+    Fraction predicate says the closed segments touch; each contact
+    point lies on both segments, and an overlap shares two points."""
+    rng = random.Random(2025)
+    seen = {"none": 0, "point": 0, "overlap": 0, "collinear touch": 0}
+    for _ in range(1500):
+        (a0, a1), (b0, b1) = _segment_case(rng)
+        found = {z: (kind, pt) for _, _, z, kind, pt
+                 in curves._contacts([(a0, a1)], [(b0, b1)])}
+        xs, ys = (a0[0], a1[0]), (a0[1], a1[1])
+        bxs, bys = (b0[0], b1[0]), (b0[1], b1[1])
+        # every translate whose boxes meet
+        window = [
+            (zx, zy)
+            for zx in range(math.ceil(min(xs) - max(bxs)),
+                            math.floor(max(xs) - min(bxs)) + 1)
+            for zy in range(math.ceil(min(ys) - max(bys)),
+                            math.floor(max(ys) - min(bys)) + 1)
+        ]
+        assert set(found) <= set(window)
+        for z in window:
+            c0 = (b0[0] + z[0], b0[1] + z[1])
+            c1 = (b1[0] + z[0], b1[1] + z[1])
+            touch = segments_touch(a0, a1, c0, c1)
+            assert (z in found) == touch, (a0, a1, c0, c1)
+            if not touch:
+                seen["none"] += 1
+                continue
+            kind, pt = found[z]
+            collinear = _orient(a0, a1, c0) == 0 == _orient(a0, a1, c1)
+            shared = {p for p in (a0, a1) if _on_segment(c0, c1, p)} | {
+                p for p in (c0, c1) if _on_segment(a0, a1, p)}
+            if kind == "overlap":
+                assert collinear and len(shared) >= 2
+            else:
+                assert kind == "point"
+                for p, q in ((a0, a1), (c0, c1)):
+                    assert _orient(p, q, pt) == 0 and _on_segment(p, q, pt)
+                if collinear:
+                    assert shared == {pt}
+                    kind = "collinear touch"
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_crossing_number_enumerates_contacts_once(monkeypatch):

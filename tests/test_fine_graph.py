@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -132,6 +133,44 @@ def test_certified_path_random_pairs():
         assert path.curves[0].verts == b.verts
         assert path.curves[-1].verts == a.verts
         done += 1
+
+
+def _bench_style_curve(rng, k):
+    """A simple curve with k vertices of denominator <= 64 in a band over
+    the straight line of a class with |p|, |q| <= 2, drawn as the
+    curve-certify benchmark draws its curves."""
+    classes = [(p, q) for p in range(-2, 3) for q in range(-2, 3)
+               if math.gcd(abs(p), abs(q)) == 1]
+    while True:
+        p, q = rng.choice(classes)
+        norm = math.hypot(p, q)
+        bx, by = rng.random(), rng.random()
+        verts = []
+        for t in sorted(rng.random() for _ in range(k)):
+            off = rng.uniform(-0.3, 0.3) / norm
+            d = rng.randint(32, 64)
+            x = bx + t * p - off * q / norm
+            y = by + t * q + off * p / norm
+            verts.append((Fraction(round(x * d), d),
+                          Fraction(round(y * d), d)))
+        along = [x * p + y * q for x, y in verts]
+        if all(s < t for s, t in zip(along, along[1:])) and (
+                along[-1] < along[0] + p * p + q * q):
+            return PLCurve(tuple(verts), (p, q))
+
+
+def test_big_denominator_certificate_bytes_are_pinned():
+    """A surgery path whose push-offs reach vertex denominators above
+    10^34 gives the same certificate bytes as the Fraction predicates
+    that decided every contact before the integer ones."""
+    rng = random.Random(16 * 1_000_003 + 187)
+    a, b = _bench_style_curve(rng, 16), _bench_style_curve(rng, 16)
+    path = upper_bound_by_intersection(a, b)
+    assert max(v.denominator for c in path.curves
+               for pt in c.verts for v in pt) > 10**34
+    text = json.dumps(path.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0157c766a03acec7309718f85552018b5db7c29383ee3c8efec892ee7b3ac2c5")
 
 
 def test_certificate_json_round_trip_and_tamper():
