@@ -3,12 +3,15 @@
 A curve is stored as one period of a lift: a chain of rational vertices
 v_0 ... v_{k-1} in R^2 plus the integer closing displacement w, so the
 chain continues with v_0 + w.  The displacement is the homology class.
-All predicates (simplicity, intersection, crossing numbers) are decided
-exactly over integer deck translates, in integers over each segment's
-common denominator, with a Fraction built only for a contact point; a
-float bounding box prefilter only prunes, never decides.  Every
-predicate runs on one enumeration of segment contacts, and intersection
-records carry the cyclic parameter of the point on both curves.
+A curve builds its integer view once, on first use: each segment's ends
+over the segment's common denominator, with padded float bounding
+boxes.  All predicates (simplicity, intersection, crossing numbers) are
+decided exactly over integer deck translates on that view, with a
+Fraction built only for a contact point; the float boxes only prune,
+never decide.  Every predicate runs on one enumeration of segment
+contacts, and intersection records carry the cyclic parameter of the
+point on both curves.  Affine images are exact integer computations on
+the vertices over their common denominator.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +75,23 @@ class PLCurve:
         object.__setattr__(self, "verts", verts)
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def _trusted(cls, verts, w) -> "PLCurve":
+        """A curve from a tuple of Fraction vertex pairs and an int class
+        that are known to form a valid curve, without the coercion and
+        the zero-length-edge scan: for images of valid curves under
+        injective maps only."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "verts", verts)
+        object.__setattr__(c, "w", w)
+        return c
+
+    @cached_property
+    def _ends(self):
+        """The integer view of the segments, _integer_ends(segments),
+        built once on first use."""
+        return _integer_ends(self.segments)
+
     @property
     def segments(self) -> tuple:
         v = self.verts
@@ -115,15 +136,15 @@ def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _seg_contact(a, b, z, seg):
+def _seg_contact(a, b, z):
     """Contact of the closed segment a with the closed segment b + z.
 
     a and b are integer ends over each segment's common denominator, as
-    built by _integer_ends, and seg is a as a pair of rational points.
-    Returns ('none', None), ('point', pt) or ('overlap', None); the
-    overlap case means a common subsegment of positive length.  Every
-    sign is decided on integers: a crossing point is the one Fraction
-    built, and a collinear touch returns an end of seg.
+    built by _integer_ends.  Returns ('none', None), ('point', pt) or
+    ('overlap', None); the overlap case means a common subsegment of
+    positive length.  Every sign is decided on integers, and the
+    Fractions of pt are the only ones built: a crossing point, or the
+    end of a at a collinear touch.
     """
     ax1, ay1, ax2, ay2, da = a
     bx1, by1, bx2, by2, db = b
@@ -148,7 +169,9 @@ def _seg_contact(a, b, z, seg):
             return ("none", None)
         if lo < hi:
             return ("overlap", None)
-        return ("point", seg[0] if lo == 0 else seg[1])
+        if lo == 0:
+            return ("point", (Fraction(ax1, da), Fraction(ay1, da)))
+        return ("point", (Fraction(ax2, da), Fraction(ay2, da)))
     if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
         return ("none", None)
     d3 = wx * vy - wy * vx
@@ -168,7 +191,8 @@ def _integer_ends(segments):
     """Each segment's ends over the lcm d of their four denominators,
     (px, py, qx, qy, d), and the float bounding boxes (lo, hi) of the
     segments.  int / int rounds correctly, as float() of a Fraction
-    does, so the boxes are those of the rational ends."""
+    does, so the boxes are those of the rational ends.  A curve builds
+    this view once, as PLCurve._ends."""
     ends, box = [], []
     for (p0, p1), (q0, q1) in segments:
         d = math.lcm(p0.denominator, p1.denominator,
@@ -206,20 +230,22 @@ def _pair_candidates(box_a, box_b):
                     yield i, j, (zx, zy)
 
 
-def _contacts(segs_a, segs_b=None):
-    """Yield (i, j, z, kind, pt) for every non-empty contact of
-    segs_a[i] with segs_b[j] + z, kind and pt as in _seg_contact.
+def _contacts(view_a, view_b=None):
+    """Yield (i, j, z, kind, pt) for every non-empty contact of segment
+    i of view_a with segment j of view_b translated by z, kind and pt
+    as in _seg_contact.  A view is (ends, boxes) as built by
+    _integer_ends: a curve's _ends.
 
-    Without segs_b, the self-contacts of segs_a: (i, j, z) and
+    Without view_b, the self-contacts of view_a: (i, j, z) and
     (j, i, -z) describe the same segment pair, so only i < j, or i == j
     with z > (0, 0), is tested."""
-    own = segs_b is None
-    ends_a, box_a = _integer_ends(segs_a)
-    ends_b, box_b = (ends_a, box_a) if own else _integer_ends(segs_b)
+    own = view_b is None
+    ends_a, box_a = view_a
+    ends_b, box_b = view_a if own else view_b
     for i, j, z in _pair_candidates(box_a, box_b):
         if own and (i > j or (i == j and z <= (0, 0))):
             continue
-        kind, pt = _seg_contact(ends_a[i], ends_b[j], z, segs_a[i])
+        kind, pt = _seg_contact(ends_a[i], ends_b[j], z)
         if kind != "none":
             yield i, j, z, kind, pt
 
@@ -228,22 +254,30 @@ def _contacts(segs_a, segs_b=None):
 # simplicity
 
 
+def _is_end(pt, e, last):
+    """Whether the rational point pt is the first or the last end of the
+    integer segment e (as built by _integer_ends)."""
+    x, y = (e[2], e[3]) if last else (e[0], e[1])
+    return (pt[0].numerator * e[4] == x * pt[0].denominator
+            and pt[1].numerator * e[4] == y * pt[1].denominator)
+
+
 def is_simple(c: PLCurve) -> bool:
     """Exact embeddedness check of the closed curve on the torus."""
-    segs = c.segments
-    k = len(segs)
+    ends = c._ends[0]
+    k = len(ends)
     w = c.w
-    for i, j, z, kind, pt in _contacts(segs):
+    for i, j, z, kind, pt in _contacts(c._ends):
         if kind == "overlap":
             return False
         allowed = False
         if j == i + 1 and z == (0, 0):
-            allowed = pt == segs[i][1]
+            allowed = _is_end(pt, ends[i], True)
         elif i == 0 and j == k - 1 and z == (-w[0], -w[1]):
-            allowed = pt == segs[0][0]
+            allowed = _is_end(pt, ends[0], False)
         elif k == 1:
-            allowed = (z == w and pt == segs[0][1]) or (
-                z == (-w[0], -w[1]) and pt == segs[0][0]
+            allowed = (z == w and _is_end(pt, ends[0], True)) or (
+                z == (-w[0], -w[1]) and _is_end(pt, ends[0], False)
             )
         if not allowed:
             return False
@@ -259,29 +293,36 @@ def _canonical_point(pt):
     return (x - math.floor(x), y - math.floor(y))
 
 
-def _param(segs, i, pt):
-    """Cyclic parameter (in [0, k)) of the point pt of segs[i]: integer
-    part the segment index, fractional part the position.  The end of a
-    segment is parameter 0 of the next one."""
-    P, Q = segs[i]
-    axis = 0 if abs(Q[0] - P[0]) >= abs(Q[1] - P[1]) else 1
-    t = (pt[axis] - P[axis]) / (Q[axis] - P[axis])
+def _param(ends, i, pt):
+    """Cyclic parameter (in [0, k)) of the rational point pt of the
+    integer segment ends[i]: integer part the segment index, fractional
+    part the position.  The end of a segment is parameter 0 of the next
+    one."""
+    px, py, qx, qy, d = ends[i]
+    if abs(qx - px) >= abs(qy - py):
+        p, u, x = px, qx - px, pt[0]
+    else:
+        p, u, x = py, qy - py, pt[1]
+    # (x - p / d) / (u / d)
+    t = Fraction(x.numerator * d - p * x.denominator, u * x.denominator)
     if t == 1:
-        return Fraction((i + 1) % len(segs))
+        return Fraction((i + 1) % len(ends))
     return i + t
 
 
-def _rays(segs, param):
+def _rays(ends, param):
     """Directions (d_in, d_out) of the curve through the point at the
     cyclic parameter; at a vertex they are the directions of the
-    previous and the current segment."""
+    previous and the current segment.  Each is the integer difference
+    of its segment's ends, the true direction times a positive scale,
+    which keeps the signs of their cross products."""
     idx = math.floor(param)
-    P, Q = segs[idx]
-    d_out = (Q[0] - P[0], Q[1] - P[1])
+    px, py, qx, qy, _ = ends[idx]
+    d_out = (qx - px, qy - py)
     if param != idx:
         return d_out, d_out
-    P, Q = segs[idx - 1]
-    return (Q[0] - P[0], Q[1] - P[1]), d_out
+    px, py, qx, qy, _ = ends[idx - 1]
+    return (qx - px, qy - py), d_out
 
 
 def _in_left_sector(a_plus, a_minus, u) -> bool:
@@ -312,20 +353,20 @@ def intersections(a: PLCurve, b: PLCurve) -> list:
     """All torus intersection points of two simple curves, each flagged
     transverse or touching.  Overlapping subsegments, and a point that
     either curve passes through twice, raise NonGenericError."""
-    segs_a, segs_b = a.segments, b.segments
-    return _records(segs_a, segs_b, _contacts(segs_a, segs_b))
+    return _records(a._ends[0], b._ends[0], _contacts(a._ends, b._ends))
 
 
-def _records(segs_a, segs_b, contacts) -> list:
-    """The intersection records of the contacts of segs_a with segs_b
-    (as yielded by _contacts), one per torus point."""
+def _records(ends_a, ends_b, contacts) -> list:
+    """The intersection records of the contacts of the integer segments
+    ends_a with ends_b (as yielded by _contacts), one per torus
+    point."""
     params = {}  # canonical point -> (parameters on a, parameters on b)
     for i, j, z, kind, pt in contacts:
         if kind == "overlap":
             raise NonGenericError("curves share a subsegment")
         on_a, on_b = params.setdefault(_canonical_point(pt), (set(), set()))
-        on_a.add(_param(segs_a, i, pt))
-        on_b.add(_param(segs_b, j, (pt[0] - z[0], pt[1] - z[1])))
+        on_a.add(_param(ends_a, i, pt))
+        on_b.add(_param(ends_b, j, (pt[0] - z[0], pt[1] - z[1])))
     out = []
     for pt in sorted(params):
         for on in params[pt]:
@@ -334,8 +375,8 @@ def _records(segs_a, segs_b, contacts) -> list:
                     f"expected one curve branch through {pt}, found {len(on)}"
                 )
         (param_a,), (param_b,) = params[pt]
-        a_in, a_out = _rays(segs_a, param_a)
-        b_in, b_out = _rays(segs_b, param_b)
+        a_in, a_out = _rays(ends_a, param_a)
+        b_in, b_out = _rays(ends_b, param_b)
         a_plus = a_out
         a_minus = (-a_in[0], -a_in[1])
         r1 = (-b_in[0], -b_in[1])
@@ -404,15 +445,14 @@ class CurvePair:
 
     def contacts(self) -> list:
         if self._contact_list is None:
-            self._contact_list = list(
-                _contacts(self.a.segments, self.b.segments))
+            self._contact_list = list(_contacts(self.a._ends, self.b._ends))
         return self._contact_list
 
     def records(self) -> list:
         """intersections(a, b), from the pair's one enumeration."""
         if self._record_list is None:
             self._record_list = _records(
-                self.a.segments, self.b.segments, self.contacts())
+                self.a._ends[0], self.b._ends[0], self.contacts())
         return self._record_list
 
     def transverse(self) -> bool:
@@ -614,20 +654,34 @@ def image_curve(
 
 def affine_image_curve(F: LiftedMap, c: PLCurve) -> PLCurve:
     """Exact image of a curve under a chain of linear and translation
-    primitives.  Raises InapplicableError for other primitives."""
-    verts = list(c.verts)
+    primitives.  Raises InapplicableError for other primitives.
+
+    The vertices are integer numerators over one common denominator: a
+    matrix maps the numerators, a (dyadic) translation raises the
+    denominator to a common multiple, and one Fraction is built per
+    output coordinate.  The map is affine with det +-1, so injective,
+    and the image of a valid curve is valid: it is not re-validated."""
+    den = math.lcm(*(v.denominator for pt in c.verts for v in pt))
+    pts = [(x.numerator * (den // x.denominator),
+            y.numerator * (den // y.denominator)) for x, y in c.verts]
     for prim in F.primitives:
         if isinstance(prim, Linear):
             (a, b), (d, e) = prim.matrix
-            verts = [(a * x + b * y, d * x + e * y) for x, y in verts]
+            pts = [(a * x + b * y, d * x + e * y) for x, y in pts]
         elif isinstance(prim, Translation):
             tx, ty = Fraction(prim.v[0]), Fraction(prim.v[1])
-            verts = [(x + tx, y + ty) for x, y in verts]
+            new = math.lcm(den, tx.denominator, ty.denominator)
+            s = new // den
+            sx = tx.numerator * (new // tx.denominator)
+            sy = ty.numerator * (new // ty.denominator)
+            pts = [(x * s + sx, y * s + sy) for x, y in pts]
+            den = new
         else:
             raise InapplicableError("exact images need an affine chain")
-    ox, oy = F.deck_offset
-    verts = [(x + ox, y + oy) for x, y in verts]
-    return PLCurve(tuple(verts), _mat_apply(linear_part(F), c.w))
+    ox, oy = F.deck_offset[0] * den, F.deck_offset[1] * den
+    verts = tuple((Fraction(x + ox, den), Fraction(y + oy, den))
+                  for x, y in pts)
+    return PLCurve._trusted(verts, _mat_apply(linear_part(F), c.w))
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,16 @@ def adjacent(a: PLCurve, b: PLCurve) -> bool:
 def _point_at(c: PLCurve, param: Fraction):
     """Lifted point at a cyclic parameter, following the canonical lift
     across period wraps (param may exceed k)."""
-    k = len(c.verts)
+    v, w = c.verts, c.w
+    k = len(v)
     wrap, local = divmod(param, k)
     idx = int(math.floor(local))
     t = local - idx
-    segs = c.segments
-    P, Q = segs[idx]
-    pt = (P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1]))
-    return (pt[0] + wrap * c.w[0], pt[1] + wrap * c.w[1])
+    P = v[idx]
+    if t:
+        Q = v[idx + 1] if idx + 1 < k else (v[0][0] + w[0], v[0][1] + w[1])
+        P = (P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1]))
+    return (P[0] + wrap * w[0], P[1] + wrap * w[1])
 
 
 def _arc_chain(c: PLCurve, s: Fraction, e: Fraction):
@@ -92,46 +94,49 @@ def _arc_chain(c: PLCurve, s: Fraction, e: Fraction):
 
 
 def _offset_curve(c: PLCurve, delta: Fraction, side: int) -> PLCurve:
-    """Push the curve off itself by roughly delta to one side.
+    """Push the curve off itself by delta to the left (side 1) or the
+    right (side -1) of its direction of travel.
 
-    Each edge line is translated along its left normal scaled by the
-    max-norm of the direction, which keeps all coordinates rational;
-    new vertices are the intersections of consecutive offset lines.
+    Each edge line moves along its normal by the vector of max-norm
+    delta, so by a distance between delta and delta * sqrt(2), which
+    keeps all coordinates rational.  Vertex i becomes the meet of the
+    offset lines of edges i - 1 and i, or, where those edges are
+    parallel, moves with the line of edge i.  Each new vertex is
+    computed in integers from the curve's integer segment ends, over
+    one denominator, with one Fraction per coordinate.  The chain, each
+    run of equal neighbours cut to its first, is validated as a curve:
+    it need not be simple, and a zero-length closing edge raises
+    MalformedCurveError.
     """
-    segs = c.segments
-    k = len(segs)
-    dirs = []
-    offs = []
-    for P, Q in segs:
-        d = (Q[0] - P[0], Q[1] - P[1])
-        m = max(abs(d[0]), abs(d[1]))
-        o = (-d[1] * side * delta / m, d[0] * side * delta / m)
-        dirs.append(d)
-        offs.append(o)
-
-    def line_point(i, extra):
-        P = segs[i][0]
-        return (P[0] + offs[i][0] + extra[0], P[1] + offs[i][1] + extra[1])
-
+    ends = c._ends[0]
+    n, q = side * delta.numerator, delta.denominator
+    dirs = [(qx - px, qy - py) for px, py, qx, qy, _ in ends]
+    norms = [max(abs(ux), abs(uy)) for ux, uy in dirs]
     verts = []
-    for i in range(k):
-        # vertex i is the meet of offset lines of edges i-1 and i; the
-        # predecessor of edge 0 is edge k-1 shifted back one period
-        j = (i - 1) % k
-        extra_j = (-c.w[0], -c.w[1]) if i == 0 else (0, 0)
-        Pj = line_point(j, extra_j)
-        dj = dirs[j]
-        Pi = line_point(i, (0, 0))
-        di = dirs[i]
-        den = dj[0] * di[1] - dj[1] * di[0]
-        if den == 0:
-            # collinear neighbours: both lines agree, shift the vertex
-            verts.append(
-                (segs[i][0][0] + offs[i][0], segs[i][0][1] + offs[i][1])
-            )
+    for i, (px, py, _, _, d) in enumerate(ends):
+        # edge i has direction u_i = (ux, uy), max-norm m_i, and offset
+        # o_i = (n / q) (-uy, ux) / m_i; the line of edge i - 1 (for
+        # i = 0 edge k - 1 shifted back one period) passes through
+        # vertex i = (px, py) / d
+        ux, uy = dirs[i]
+        vx, vy = dirs[i - 1]
+        mi, mj = norms[i], norms[i - 1]
+        cross = vx * uy - vy * ux
+        if cross == 0:
+            den = d * q * mi
+            verts.append((Fraction(px * q * mi - d * n * uy, den),
+                          Fraction(py * q * mi + d * n * ux, den)))
             continue
-        t = ((Pi[0] - Pj[0]) * di[1] - (Pi[1] - Pj[1]) * di[0]) / den
-        verts.append((Pj[0] + t * dj[0], Pj[1] + t * dj[1]))
+        # vertex i + o_{i-1} + s u_{i-1}, where
+        # s = cross(o_i - o_{i-1}, u_i) / cross(u_{i-1}, u_i)
+        #   = (n / q) g / (m_i m_{i-1} cross)
+        g = mi * (ux * vx + uy * vy) - mj * (ux * ux + uy * uy)
+        den = d * q * mi * mj * cross
+        verts.append(
+            (Fraction(px * q * mi * mj * cross
+                      + d * n * (g * vx - vy * mi * cross), den),
+             Fraction(py * q * mi * mj * cross
+                      + d * n * (g * vy + vx * mi * cross), den)))
     return PLCurve(tuple(_drop_repeats(verts)), c.w)
 
 

@@ -303,3 +303,47 @@ def random_simple_curve(rng, is_simple, PLCurve, max_class: int = 2,
             continue
         if is_simple(c):
             return c
+
+
+# ---------------------------------------------------------------------------
+# rational push-off of a closed PL chain, in Fraction arithmetic
+
+
+def offset_chain_oracle(verts, w, delta, side):
+    """Vertices of the push-off of the closed chain verts (closing
+    displacement w) by delta to one side, each run of equal neighbours
+    cut to its first.
+
+    Each edge line moves along its left normal (side 1) or right normal
+    (side -1), scaled so that its max-norm is delta; a new vertex is the
+    meet of the offset lines of the two edges at it, or the old vertex
+    moved with its outgoing edge where those edges are parallel.  Every
+    step is a Fraction operation on the rational vertices."""
+    verts = [(Fraction(x), Fraction(y)) for x, y in verts]
+    k = len(verts)
+    closing = (verts[0][0] + w[0], verts[0][1] + w[1])
+    segs = [(verts[i], verts[i + 1] if i + 1 < k else closing)
+            for i in range(k)]
+    dirs, offs = [], []
+    for P, Q in segs:
+        d = (Q[0] - P[0], Q[1] - P[1])
+        m = max(abs(d[0]), abs(d[1]))
+        dirs.append(d)
+        offs.append((-d[1] * side * delta / m, d[0] * side * delta / m))
+    out = []
+    for i in range(k):
+        j = (i - 1) % k
+        shift = (-w[0], -w[1]) if i == 0 else (0, 0)
+        Pj = (segs[j][0][0] + offs[j][0] + shift[0],
+              segs[j][0][1] + offs[j][1] + shift[1])
+        Pi = (segs[i][0][0] + offs[i][0], segs[i][0][1] + offs[i][1])
+        dj, di = dirs[j], dirs[i]
+        den = dj[0] * di[1] - dj[1] * di[0]
+        if den == 0:
+            v = Pi
+        else:
+            t = ((Pi[0] - Pj[0]) * di[1] - (Pi[1] - Pj[1]) * di[0]) / den
+            v = (Pj[0] + t * dj[0], Pj[1] + t * dj[1])
+        if not out or v != out[-1]:
+            out.append(v)
+    return out

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -45,7 +46,7 @@ from torusdyn.curves import (  # noqa: E402
     vertical_circle,
     write_curve,
 )
-from torusdyn.fine_graph import _point_at  # noqa: E402
+from torusdyn.fine_graph import _point_at, curve_from_json  # noqa: E402
 
 F12 = Fraction(1, 2)
 F14 = Fraction(1, 4)
@@ -212,7 +213,8 @@ def test_segment_contacts_match_the_oracle():
     for _ in range(1500):
         (a0, a1), (b0, b1) = _segment_case(rng)
         found = {z: (kind, pt) for _, _, z, kind, pt
-                 in curves._contacts([(a0, a1)], [(b0, b1)])}
+                 in curves._contacts(curves._integer_ends([(a0, a1)]),
+                                     curves._integer_ends([(b0, b1)]))}
         xs, ys = (a0[0], a1[0]), (a0[1], a1[1])
         bxs, bys = (b0[0], b1[0]), (b0[1], b1[1])
         # every translate whose boxes meet
@@ -348,6 +350,68 @@ def test_affine_image_curve_exact():
     b = affine_image_curve(F, a)
     assert b.w == (2, 1)
     assert b.verts[0] == (Fraction(1, 3), Fraction(1, 3))
+
+
+def _fraction_image(F, c):
+    """The image of c under an affine chain, in Fraction arithmetic,
+    through the validating constructor."""
+    verts, w = list(c.verts), c.w
+    for prim in F.primitives:
+        if isinstance(prim, Linear):
+            (a, b), (d, e) = prim.matrix
+            verts = [(a * x + b * y, d * x + e * y) for x, y in verts]
+            w = (a * w[0] + b * w[1], d * w[0] + e * w[1])
+        else:
+            tx, ty = Fraction(prim.v[0]), Fraction(prim.v[1])
+            verts = [(x + tx, y + ty) for x, y in verts]
+    ox, oy = F.deck_offset
+    return PLCurve(tuple((x + ox, y + oy) for x, y in verts), w)
+
+
+def test_affine_image_is_the_validated_fraction_image():
+    """The integer image of a bent and a straight curve, under chains
+    with a det -1 matrix, a dyadic translation and a deck offset, is
+    the curve the validating constructor builds from the Fraction
+    image, and its integer view is the one its segments give."""
+    bent = PLCurve(((Fraction(1, 3), Fraction(-2, 7)),
+                    (Fraction(1, 2), Fraction(1, 9)),
+                    (Fraction(3, 5), Fraction(3, 4)),
+                    (Fraction(13, 12), Fraction(13, 10))), (1, 2))
+    straight = straight_curve((2, 1), (Fraction(1, 5), Fraction(2, 7)))
+    swap = Linear(((0, 1), (1, 0)))  # det -1
+    step = Translation((0.25, -0.125))
+    chains = [
+        LiftedMap((swap,)),
+        LiftedMap((step,), (2, -1)),
+        LiftedMap((Linear(((2, 1), (1, 1))), step, swap), (-1, 3)),
+        LiftedMap((step, Linear(((1, 0), (3, -1))), step), (0, 1)),
+    ]
+    for c in (bent, straight):
+        assert is_simple(c)
+        for F in chains:
+            image, want = affine_image_curve(F, c), _fraction_image(F, c)
+            assert image == want
+            assert all(type(v) is Fraction for pt in image.verts for v in pt)
+            assert all(type(v) is int for v in image.w)
+            ends, (lo, hi) = image._ends
+            want_ends, (want_lo, want_hi) = curves._integer_ends(
+                want.segments)
+            assert ends == want_ends
+            assert np.array_equal(lo, want_lo)
+            assert np.array_equal(hi, want_hi)
+            assert is_simple(image)
+
+
+def test_readers_reject_a_zero_length_edge():
+    """The curve file and JSON readers validate every curve: a repeated
+    vertex, or a closing edge of length zero, is malformed."""
+    for text in ("# class 1 0\n0 1/2\n0 1/2\n", "# class 0 0\n1/3 1/4\n"):
+        with pytest.raises(MalformedCurveError):
+            parse_curve(text)
+    for d in ({"class": [1, 0], "verts": [["0", "1/2"], ["0", "1/2"]]},
+              {"class": [0, 0], "verts": [["1/3", "1/4"]]}):
+        with pytest.raises(MalformedCurveError):
+            curve_from_json(d)
 
 
 def test_image_curve_matches_affine_for_translation():

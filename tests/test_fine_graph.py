@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import farey_oracle_distance, random_simple_curve  # noqa: E402
+from oracles import (  # noqa: E402
+    farey_oracle_distance,
+    offset_chain_oracle,
+    random_simple_curve,
+)
 
 from torusdyn import curves, fine_graph  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
@@ -21,7 +25,11 @@ from torusdyn.curves import (  # noqa: E402
     straight_curve,
     vertical_circle,
 )
-from torusdyn.errors import InputError, NonGenericError  # noqa: E402
+from torusdyn.errors import (  # noqa: E402
+    InputError,
+    MalformedCurveError,
+    NonGenericError,
+)
 from torusdyn.fine_graph import (  # noqa: E402
     adjacent,
     annulus_trap_certificate,
@@ -171,6 +179,101 @@ def test_big_denominator_certificate_bytes_are_pinned():
     text = json.dumps(path.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0157c766a03acec7309718f85552018b5db7c29383ee3c8efec892ee7b3ac2c5")
+
+
+def test_certificate_and_record_bytes_are_pinned():
+    """The intersection records and the surgery certificate of 24
+    seeded curve pairs, as bytes, under one sha256: any change of route
+    that moves a vertex, a parameter or a count moves the hash."""
+    h = hashlib.sha256()
+    for n in range(24):
+        k = 8 if n % 3 else 16
+        rng = random.Random(k * 1_000_003 + 500 + n)
+        a, b = _bench_style_curve(rng, k), _bench_style_curve(rng, k)
+        lines = [f"{p.point[0]} {p.point[1]} {int(p.transverse)} "
+                 f"{p.param_a} {p.param_b}" for p in intersections(a, b)]
+        path = upper_bound_by_intersection(a, b)
+        h.update(("\n".join([str(n)] + lines) + "\n").encode())
+        for c in path.curves:
+            h.update(json.dumps(curve_to_json(c), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "36a1b08724ec6e72d565bf46dcbce7e975df2022ca3f85095aad08028f81fc81")
+
+
+def _random_chain(rng):
+    """A closed rational chain of 1 to 7 vertices with denominators up
+    to 64 and a class in [-2, 2]^2; about one in four has a vertex added
+    on the line of an edge, inside it or behind its start."""
+    while True:
+        k = rng.randint(1, 7)
+        verts = [(Fraction(rng.randint(-80, 80), rng.randint(1, 64)),
+                  Fraction(rng.randint(-80, 80), rng.randint(1, 64)))
+                 for _ in range(k)]
+        w = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if rng.random() < 0.25:
+            i = rng.randrange(k)
+            P = verts[i]
+            Q = verts[i + 1] if i + 1 < k else (verts[0][0] + w[0],
+                                                 verts[0][1] + w[1])
+            # t < 0 puts the new vertex behind P, so the chain runs
+            # back along its own edge line
+            t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 10)
+            verts.insert(i + 1, (P[0] + t * (Q[0] - P[0]),
+                                 P[1] + t * (Q[1] - P[1])))
+        try:
+            return PLCurve(tuple(verts), w)
+        except MalformedCurveError:
+            continue
+
+
+def test_offset_curve_matches_the_fraction_oracle():
+    """The push-off equals the Fraction formula of the oracle, vertex
+    for vertex, on 240 random rational chains, both sides and three
+    distances delta = 1 / (4 D 2^h), D the largest vertex denominator."""
+    rng = random.Random(26)
+    parallel = 0
+    for _ in range(240):
+        c = _random_chain(rng)
+        D = max(v.denominator for pt in c.verts for v in pt)
+        segs = c.segments
+        parallel += any(
+            (segs[i - 1][1][0] - segs[i - 1][0][0])
+            * (segs[i][1][1] - segs[i][0][1])
+            == (segs[i - 1][1][1] - segs[i - 1][0][1])
+            * (segs[i][1][0] - segs[i][0][0])
+            for i in range(len(segs)))
+        for h in (0, 3, 9):
+            delta = Fraction(1, 4 * D * 2**h)
+            for side in (1, -1):
+                want = offset_chain_oracle(c.verts, c.w, delta, side)
+                got = fine_graph._offset_curve(c, delta, side)
+                assert got.verts == tuple(want) and got.w == c.w
+    assert parallel >= 40, parallel
+
+
+def test_each_curve_builds_its_integer_view_once(monkeypatch):
+    """Intersections, crossing number, the surgery certificate and its
+    verification from JSON, as one curve-certify item runs them, build
+    the integer ends of each curve once, through its cached view."""
+    built = []
+    integer_ends = curves._integer_ends
+
+    def counted(segments):
+        # the caller is PLCurve._ends; the list keeps each curve alive,
+        # so no id is reused
+        built.append(sys._getframe(1).f_locals["self"])
+        return integer_ends(segments)
+
+    monkeypatch.setattr(curves, "_integer_ends", counted)
+    rng = random.Random(16 * 1_000_003 + 187)
+    a, b = _bench_style_curve(rng, 16), _bench_style_curve(rng, 16)
+    assert len(intersections(a, b)) > 2
+    curves.crossing_number(a, b)
+    path = upper_bound_by_intersection(a, b)
+    cert = json.loads(json.dumps(path.to_json_dict(), sort_keys=True))
+    assert verify_certificate(cert)["valid"]
+    assert all(isinstance(c, PLCurve) for c in built)
+    assert len({id(c) for c in built}) == len(built) > 10
 
 
 def test_certificate_json_round_trip_and_tamper():
