@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import CurveOrbit
 from .errors import (
     DivergenceError,
     InapplicableError,
     InputError,
-    NonGenericError,
     ResolutionError,
 )
 from .fine_graph import (
@@ -34,9 +32,9 @@ from .fine_graph import (
     ANNULUS_SAMPLES,
     AnnulusCertificate,
     annulus_trap_certificate,
-    farey_distance,
+    orbit_entries,
 )
-from .maps import LiftedMap, isotopy_class, power
+from .maps import LiftedMap, _iteration_count, isotopy_class, power
 from .rotation import (
     DEFAULT_THRESHOLDS,
     ShapeThresholds,
@@ -301,25 +299,6 @@ def classify(F: LiftedMap, params: ClassifyParams = None) -> Classification:
 
 
 @dataclass
-class CrossCheckEntry:
-    """Measured data for a single iterate in a cross check."""
-
-    n: int
-    intersections: int = None
-    crossing: int = None
-    farey: int = None
-    error: str = None
-
-    def to_json_dict(self):
-        out = {"n": self.n}
-        for key in ("intersections", "crossing", "farey", "error"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
-
-
-@dataclass
 class CrossCheckReport:
     """Crossing number and Farey distance trends for iterated images
     of a probe curve, together with consistency flags against a
@@ -349,40 +328,20 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
     """Measure crossing numbers, intersection counts and Farey
     distances of the iterated images of the probe curve a against a.
 
-    ns is an iterable of iterate counts; the images walk one
-    CurveOrbit of a, max(ns) steps in all.  Per iterate failures (non
-    simple samplings, divergence) are recorded in the entry rather
-    than raised.  When a verdict is supplied the report lists the
-    measurements that sit poorly with it; an elliptic verdict with
-    crossing numbers above crossing_cap (default 2 max(ns) + 2) is
-    flagged, a hyperbolic verdict with zero Farey growth is flagged.
+    ns is an iterable of iterate counts; the entries are the
+    orbit_entries of a, whose per iterate failures (non simple
+    samplings, divergence) are recorded rather than raised.  When a
+    verdict is supplied the report lists the measurements that sit
+    poorly with it; an elliptic verdict with crossing numbers above
+    crossing_cap (default 2 max(ns) + 2) is flagged, a hyperbolic
+    verdict with zero Farey growth is flagged.
     """
-    ns = sorted(set(int(n) for n in ns))
+    ns = sorted(set(_iteration_count(n) for n in ns))
     if not ns or ns[0] < 1:
         raise InputError("iterate counts must be positive")
     if crossing_cap is None:
         crossing_cap = 2 * ns[-1] + 2
-    orbit = CurveOrbit(F, a, res)
-    entries = []
-    for n in ns:
-        entry = CrossCheckEntry(n)
-        try:
-            pair = orbit.pair(n, a)
-            entry.farey = farey_distance(a.w, pair.b.w)
-            if pair.same:
-                # an exact image on the probe reads as a placed push-off
-                entry.intersections = entry.crossing = 0
-            else:
-                entry.intersections = pair.intersection_count()
-                if pair.b.w == a.w:
-                    try:
-                        entry.crossing = pair.crossing_number()
-                    except NonGenericError as exc:
-                        entry.error = str(exc)
-        except (ResolutionError, DivergenceError, NonGenericError,
-                InapplicableError) as exc:
-            entry.error = str(exc)
-        entries.append(entry)
+    entries = list(orbit_entries(F, a, ns, res))
 
     report = CrossCheckReport(tuple(a.w), entries, verdict=verdict)
     # Log-log least squares slope of the crossing counts: an exponent

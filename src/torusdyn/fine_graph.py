@@ -26,12 +26,21 @@ from .curves import (
     is_simple,
 )
 from .errors import (
+    DivergenceError,
     InapplicableError,
     InputError,
     MalformedCurveError,
     NonGenericError,
+    ResolutionError,
 )
-from .maps import _egcd, _field, isotopy_class, iterate_points, map_from_json
+from .maps import (
+    _egcd,
+    _field,
+    _iteration_count,
+    isotopy_class,
+    iterate_points,
+    map_from_json,
+)
 
 MAX_DELTA_HALVINGS = 12
 
@@ -307,7 +316,7 @@ def upper_bound_by_intersection(a: PLCurve, b: PLCurve) -> CertifiedPath:
 def farey_class(w) -> tuple:
     """Canonical representative of +-(p, q) primitive."""
     p, q = int(w[0]), int(w[1])
-    if not is_essential_class((p, q)):
+    if (p, q) != (w[0], w[1]) or not is_essential_class((p, q)):
         raise InputError("Farey vertices are primitive nonzero classes")
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
@@ -354,7 +363,49 @@ def farey_lower_bound(a: PLCurve, b: PLCurve) -> int:
 
 
 # ---------------------------------------------------------------------------
-# translation length bounds
+# orbit walks and translation length bounds
+
+
+@dataclass
+class OrbitEntry:
+    """What the n-th image of a probe a measures against a: the Farey
+    distance, the intersection count and, if the image keeps the class
+    of a, the crossing number.  same marks an exact image that is a
+    itself; exc is the error of a failed image, placement or orbit."""
+
+    n: int
+    intersections: int = None
+    crossing: int = None
+    farey: int = None
+    same: bool = False
+    exc: Exception = None
+
+    def to_json_dict(self):
+        out = {"n": self.n, "intersections": self.intersections,
+               "crossing": self.crossing, "farey": self.farey,
+               "error": None if self.exc is None else str(self.exc)}
+        return {key: val for key, val in out.items() if val is not None}
+
+
+def orbit_entries(F, a: PLCurve, ns, res: int):
+    """Walk one CurveOrbit of a, res samples per edge, and yield an
+    OrbitEntry per n of the non-decreasing ns.  A failed iterate is
+    recorded and the walk goes on."""
+    orbit = CurveOrbit(F, a, res)
+    for n in ns:
+        try:
+            pair = orbit.pair(n, a)
+        except (ResolutionError, DivergenceError, NonGenericError,
+                InapplicableError) as exc:
+            yield OrbitEntry(n, exc=exc)
+            continue
+        farey = farey_distance(a.w, pair.b.w)
+        if pair.same:
+            # an exact image on the probe reads as a placed push-off
+            yield OrbitEntry(n, 0, 0, farey, same=True)
+        else:
+            crossing = pair.crossing_number() if pair.b.w == a.w else None
+            yield OrbitEntry(n, pair.intersection_count(), crossing, farey)
 
 
 @dataclass(frozen=True)
@@ -384,27 +435,32 @@ class TranslationLengthBounds:
 def translation_length_bounds(
     F, a: PLCurve, n_max: int, res: int = 32
 ) -> TranslationLengthBounds:
+    """Bounds from the orbit_entries of a for n = 1, ..., n_max.
+
+    The distance bound of the n-th image f^n a is 0 when it is a
+    itself, crossing number + 1 on the identity route when it keeps the
+    class of a, and 2 i + 2 otherwise, i the intersection count
+    (upper_bound_by_intersection).  The crossing + 1 rule has no
+    citation yet (ROADMAP item 5).  The first failed iterate raises its
+    error."""
+    n_max = _iteration_count(n_max)
     if n_max < 1:
         raise InputError("n_max must be positive")
-    cls = isotopy_class(F)
-    route = cls.kind
-    orbit = CurveOrbit(F, a, res)
+    route = isotopy_class(F).kind
     entries = []
-    lower = 0.0
-    upper = math.inf
-    for n in range(1, n_max + 1):
-        pair = orbit.pair(n, a)
-        if pair.same:
+    for e in orbit_entries(F, a, range(1, n_max + 1), res):
+        if e.exc is not None:
+            raise e.exc
+        if e.same:
             up = 0
-        elif cls.kind == "identity" and pair.b.w == a.w:
-            up = pair.crossing_number() + 1
+        elif route == "identity" and e.crossing is not None:
+            up = e.crossing + 1
         else:
-            up = 2 * pair.intersection_count() + 2
-        low = farey_distance(a.w, pair.b.w)
-        entries.append(LengthBoundEntry(n, up, low))
-        upper = min(upper, up / n)
-        lower = max(lower, low / n)
-    return TranslationLengthBounds(lower, upper, tuple(entries), route)
+            up = 2 * e.intersections + 2
+        entries.append(LengthBoundEntry(e.n, up, e.farey))
+    return TranslationLengthBounds(
+        max(e.lower_numerator / e.n for e in entries),
+        min(e.upper_numerator / e.n for e in entries), tuple(entries), route)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +525,8 @@ def annulus_trap_certificate(
     """Search for N <= max_power with F^N(annulus) strictly inside the
     horizontal annulus, by _annulus_margin.  Returns the first
     certificate found or None."""
+    if max_power < 1:
+        raise InputError("annulus trap needs 'max_power' >= 1")
     lo, hi = Fraction(lo), Fraction(hi)
     for N in range(1, max_power + 1):
         margin = _annulus_margin(F, lo, hi, N, samples)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -338,7 +339,9 @@ def _check_divergence(P: np.ndarray) -> None:
 
 
 def _iteration_count(n) -> int:
-    if n < 0 or int(n) != n:
+    """n as an int; InputError unless n is a non-negative integral
+    number."""
+    if not isinstance(n, Real) or n < 0 or int(n) != n:
         raise InputError("iteration count must be a non-negative integer")
     return int(n)
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InapplicableError, InputError
 from .maps import (
     LiftedMap,
+    _iteration_count,
     cyclic_lift,
     isotopy_class,
     iterate_points,
@@ -354,7 +355,7 @@ class DiagnosticsEntry:
 def convergence_diagnostics(F: LiftedMap, schedule, grid: int) -> list:
     """Hulls along an increasing n schedule, advancing one orbit set
     incrementally, with Hausdorff distances to the final hull."""
-    schedule = [int(n) for n in schedule]
+    schedule = [_iteration_count(n) for n in schedule]
     if not schedule or any(n < 1 for n in schedule):
         raise InputError("schedule must list positive integers")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):

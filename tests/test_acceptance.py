@@ -168,7 +168,7 @@ def test_criterion_03_shear_segment(capsys):
     ok = (
         h <= 0.02
         and verdict == "EllipticConsistent"
-        and all(e.error is None for e in report.entries)
+        and all(e.exc is None for e in report.entries)
         and all(c is not None and c <= 2 for c in crossings)
     )
     announce(capsys, 3, "shear segment hull, verdict and bounded crossings",

@@ -153,7 +153,7 @@ def test_cross_check_translation_probe():
     assert report.curve_class == (1, 0)
     assert [e.n for e in report.entries] == [1, 2, 4, 8]
     for e in report.entries:
-        assert e.error is None
+        assert e.exc is None
         assert e.farey == 0
         assert e.crossing == 0
     assert report.violations == []
@@ -196,6 +196,11 @@ def test_cross_check_rejects_bad_iterates():
         cross_check(F, a, [])
     with pytest.raises(InputError):
         cross_check(F, a, [0, 1])
+    # iterate counts are integers: none is truncated to one
+    for ns in ([1.9, 2], [2.5], ["3"], [None]):
+        with pytest.raises(InputError):
+            cross_check(F, a, ns)
+    assert [e.n for e in cross_check(F, a, [2.0, 1]).entries] == [1, 2]
 
 
 def test_cross_check_rejects_an_inessential_probe():

@@ -490,7 +490,7 @@ def test_cross_check_on_an_affine_map_is_exact(monkeypatch):
     sampled, contacts = _count_sampling_and_contacts(monkeypatch)
     F = build_map("anosov").map
     report = cross_check(F, straight_curve((1, 0)), [1, 2, 4, 8, 40])
-    assert [(e.n, e.intersections, e.farey, e.error)
+    assert [(e.n, e.intersections, e.farey, e.exc)
             for e in report.entries] == [
         (1, 1, 1, None), (2, 3, 2, None), (4, 21, 4, None),
         (8, 987, 8, None), (40, 23416728348467685, 40, None)]
@@ -502,9 +502,9 @@ def test_cross_check_of_an_exact_image_on_the_probe():
     reads as the parallel push-off that placement gives a sampled one."""
     F = build_map("twist_model").map
     report = cross_check(F, straight_curve((1, 0)), [1, 2])
-    assert [(e.n, e.intersections, e.crossing, e.farey, e.error)
-            for e in report.entries] == [(1, 0, 0, 0, None),
-                                         (2, 0, 0, 0, None)]
+    assert [(e.n, e.intersections, e.crossing, e.farey, e.same, e.exc)
+            for e in report.entries] == [(1, 0, 0, 0, True, None),
+                                         (2, 0, 0, 0, True, None)]
 
 
 def test_curve_orbit_iterates_must_not_decrease():

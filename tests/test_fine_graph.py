@@ -17,6 +17,7 @@ from oracles import (  # noqa: E402
 )
 
 from torusdyn import curves, fine_graph  # noqa: E402
+from torusdyn.classifier import cross_check  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
     PLCurve,
     horizontal_circle,
@@ -29,6 +30,7 @@ from torusdyn.errors import (  # noqa: E402
     InputError,
     MalformedCurveError,
     NonGenericError,
+    ResolutionError,
 )
 from torusdyn.fine_graph import (  # noqa: E402
     adjacent,
@@ -301,6 +303,17 @@ def test_farey_class_and_adjacency():
         farey_class((2, 4))
 
 
+def test_farey_class_rejects_a_non_integral_class():
+    """A class is an integer vector: (1.5, 1) is no Farey vertex, not
+    the class (1, 1) that truncation would make of it."""
+    for w in ((1.5, 1), (0, Fraction(1, 2)), (1.0, 0.5)):
+        with pytest.raises(InputError):
+            farey_class(w)
+    with pytest.raises(InputError):
+        farey_distance((1.5, 1), (0, 1))
+    assert farey_class((2.0, Fraction(-1))) == (-2, 1)
+
+
 def test_farey_distance_small_cases():
     assert farey_distance((1, 0), (1, 0)) == 0
     assert farey_distance((1, 0), (0, 1)) == 1
@@ -399,11 +412,17 @@ def test_translation_length_bounds_translation_zero():
     assert tb.upper <= 1.0
 
 
-@pytest.mark.parametrize("segments", [1, 2])
-def test_translation_length_bounds_walks_one_orbit(monkeypatch, segments):
-    """On a non-affine map the image samples advance one step per n:
-    res x segments x n_max point steps, not res x segments x (1 + ... +
-    n_max)."""
+@pytest.mark.parametrize("caller,segments", [
+    pytest.param("translation_length_bounds", 1, id="1"),
+    pytest.param("translation_length_bounds", 2, id="2"),
+    pytest.param("cross_check", 1, id="cross_check-1"),
+    pytest.param("cross_check", 2, id="cross_check-2"),
+])
+def test_translation_length_bounds_walks_one_orbit(monkeypatch, caller,
+                                                   segments):
+    """Both readers of orbit_entries advance the image samples one step
+    per n on a non-affine map: res x segments x n_max point steps, not
+    res x segments x (1 + ... + n_max)."""
     steps = []
     iterate = curves.iterate_points
 
@@ -418,12 +437,17 @@ def test_translation_length_bounds_walks_one_orbit(monkeypatch, segments):
     else:
         a = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))
     res, n_max = 8, 5
-    tb = translation_length_bounds(G, a, n_max, res=res)
-    assert len(tb.entries) == n_max
+
+    def walk(F, n):
+        if caller == "cross_check":
+            return cross_check(F, a, range(1, n + 1), res=res).entries
+        return translation_length_bounds(F, a, n, res=res).entries
+
+    assert len(walk(G, n_max)) == n_max
     assert sum(steps) == res * segments * n_max
     # affine images are exact and sample nothing
     steps.clear()
-    translation_length_bounds(build_map("anosov").map, a, 3, res=res)
+    walk(build_map("anosov").map, 3)
     assert steps == []
 
 
@@ -442,6 +466,35 @@ def test_translation_length_bounds_rejects_an_inessential_curve():
     square = PLCurve(((F14, F14), (F12, F14), (F12, F12), (F14, F12)), (0, 0))
     with pytest.raises(InputError):
         translation_length_bounds(build_map("anosov").map, square, 2)
+    # on the identity route too: the Farey distance is taken before the
+    # crossing number, as cross_check takes it
+    with pytest.raises(InputError):
+        translation_length_bounds(build_map("translation").map, square, 2)
+
+
+@pytest.mark.parametrize("n_max", [0, -1, 2.5, "3", None])
+def test_translation_length_bounds_rejects_bad_iterate_counts(n_max):
+    with pytest.raises(InputError):
+        translation_length_bounds(
+            build_map("anosov").map, straight_curve((1, 0)), n_max)
+
+
+def test_a_failed_image_is_recorded_by_cross_check_and_raised_by_bounds():
+    """On mz_interior the res-64 image of the horizontal probe stops
+    being simple at n = 2: cross_check records the failure per iterate
+    and goes on, translation_length_bounds raises it."""
+    F = build_map("mz_interior").map
+    a = straight_curve((1, 0))
+    entries = cross_check(F, a, [1, 2, 3]).entries
+    assert entries[0].to_json_dict() == {
+        "n": 1, "intersections": 2, "crossing": 1, "farey": 0}
+    for e in entries[1:]:
+        assert isinstance(e.exc, ResolutionError)
+        assert e.to_json_dict() == {
+            "n": e.n,
+            "error": "image sampling is not simple; raise the resolution"}
+    with pytest.raises(ResolutionError):
+        translation_length_bounds(F, a, 3, res=64)
 
 
 def test_annulus_trap_positive_and_negative():
@@ -451,6 +504,10 @@ def test_annulus_trap_positive_and_negative():
     assert cert.power == 1 and cert.margin > 0.0
     rep = verify_certificate(cert.to_json_dict())
     assert rep["valid"]
+    # no power is no search, not a search that found no trap
+    with pytest.raises(InputError):
+        annulus_trap_certificate(F, Fraction(1, 4), Fraction(3, 4),
+                                 max_power=0)
     # a translation pushes every annulus off itself
     none = annulus_trap_certificate(
         LiftedMap((Translation((0.0, 0.5)),)), Fraction(1, 4), Fraction(3, 4)

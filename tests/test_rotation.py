@@ -130,6 +130,9 @@ def test_diagnostics_schedule_validation():
         convergence_diagnostics(F, [10, 10], 8)
     with pytest.raises(InputError):
         convergence_diagnostics(F, [], 8)
+    for schedule in ([1.5, 3], [2, 3.5], ["3"]):
+        with pytest.raises(InputError):
+            convergence_diagnostics(F, schedule, 8)
 
 
 def test_diagnostics_hausdorff_to_final():
