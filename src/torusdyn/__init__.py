@@ -14,7 +14,6 @@ from .maps import (  # noqa: F401
     VerticalFlow,
     compose,
     conjugate,
-    cyclic_lift,
     deck_adjust,
     evaluate,
     evaluate_points,

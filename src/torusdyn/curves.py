@@ -31,7 +31,15 @@ from .errors import (
     NonGenericError,
     ResolutionError,
 )
-from .maps import LiftedMap, Linear, Translation, _mat_apply, iterate_points, linear_part
+from .maps import (
+    LiftedMap,
+    Linear,
+    Translation,
+    _iteration_count,
+    _mat_apply,
+    iterate_points,
+    linear_part,
+)
 
 BBOX_PAD = 1e-9
 PAIR_CHUNK = 256  # segments of a per vectorised bounding-box test
@@ -549,7 +557,8 @@ class CurveOrbit:
     the walked samples may sit a few ulps off a fresh orbit."""
 
     def __init__(self, F: LiftedMap, c: PLCurve, res: int = 16):
-        if res < 1 or int(res) != res:
+        res = _iteration_count(res)
+        if res < 1:
             raise InputError("resolution must be a positive integer")
         self.F, self.n, self.w = F, 0, c.w
         self._exact = None
@@ -559,7 +568,7 @@ class CurveOrbit:
         # (segment, sample, coordinate): P (1 - t) + Q t, t = s / res
         ends = np.array([[[float(v) for v in pt] for pt in seg]
                          for seg in c.segments])[:, None]
-        t = (np.arange(int(res)) / res)[:, None]
+        t = (np.arange(res) / res)[:, None]
         self._samples = (ends[:, :, 0] * (1.0 - t)
                          + ends[:, :, 1] * t).reshape(-1, 2)
 
@@ -567,13 +576,14 @@ class CurveOrbit:
         """The image under the n-th iterate: exact for an affine map,
         otherwise a simple PL approximation, the mapped samples snapped
         to rationals and closed with the exact image class A^n w."""
-        if n < 1 or int(n) != n:
+        n = _iteration_count(n)
+        if n < 1:
             raise InputError("iterate count must be a positive integer")
         if n < self.n:
             raise InputError(
                 f"orbit is at iterate {self.n}; iterates must not decrease")
-        steps = int(n) - self.n
-        self.n = int(n)
+        steps = n - self.n
+        self.n = n
         if self._exact is not None:
             for _ in range(steps):
                 self._exact = affine_image_curve(self.F, self._exact)

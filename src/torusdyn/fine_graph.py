@@ -397,7 +397,8 @@ def orbit_entries(F, a: PLCurve, ns, res: int):
             pair = orbit.pair(n, a)
         except (ResolutionError, DivergenceError, NonGenericError,
                 InapplicableError) as exc:
-            yield OrbitEntry(n, exc=exc)
+            # the traceback would pin the orbit and its samples
+            yield OrbitEntry(n, exc=exc.with_traceback(None))
             continue
         farey = farey_distance(a.w, pair.b.w)
         if pair.same:
@@ -525,8 +526,10 @@ def annulus_trap_certificate(
     """Search for N <= max_power with F^N(annulus) strictly inside the
     horizontal annulus, by _annulus_margin.  Returns the first
     certificate found or None."""
+    max_power = _iteration_count(max_power)
     if max_power < 1:
         raise InputError("annulus trap needs 'max_power' >= 1")
+    samples = _iteration_count(samples)
     lo, hi = Fraction(lo), Fraction(hi)
     for N in range(1, max_power + 1):
         margin = _annulus_margin(F, lo, hi, N, samples)
@@ -534,9 +537,19 @@ def annulus_trap_certificate(
             return None
         if margin > 0.0:
             return AnnulusCertificate(
-                lo, hi, N, int(samples), margin, F.to_json()
+                lo, hi, N, samples, margin, F.to_json()
             )
     return None
+
+
+def _count_field(cert: dict, key: str) -> int:
+    """cert[key] as an int; an InputError naming the field unless it is
+    a non-negative integral number, so 1.5 or true is not truncated."""
+    value = _field(cert, key, lambda v: v)
+    try:
+        return _iteration_count(value)
+    except InputError as exc:
+        raise InputError(f"bad field {key!r}: {exc}") from exc
 
 
 def verify_certificate(cert: dict) -> dict:
@@ -550,8 +563,8 @@ def verify_certificate(cert: dict) -> dict:
     if cert["type"] == "fine_path":
         curves = _field(
             cert, "curves", lambda ds: tuple(curve_from_json(d) for d in ds))
-        claimed = (_field(cert, "intersection_count", int),
-                   _field(cert, "length", int))
+        claimed = (_count_field(cert, "intersection_count"),
+                   _count_field(cert, "length"))
         length = len(curves) - 1
         out = {"type": "fine_path", "valid": False, "length": length,
                "budget": None}
@@ -577,8 +590,8 @@ def verify_certificate(cert: dict) -> dict:
             _field(cert, "map", map_from_json),
             _field(cert, "lo", Fraction),
             _field(cert, "hi", Fraction),
-            _field(cert, "power", int),
-            _field(cert, "samples", int),
+            _count_field(cert, "power"),
+            _count_field(cert, "samples"),
         )
         return {
             "type": "annulus_trap",

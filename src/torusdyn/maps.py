@@ -340,8 +340,9 @@ def _check_divergence(P: np.ndarray) -> None:
 
 def _iteration_count(n) -> int:
     """n as an int; InputError unless n is a non-negative integral
-    number."""
-    if not isinstance(n, Real) or n < 0 or int(n) != n:
+    number (a bool is not a count)."""
+    if (not isinstance(n, Real) or isinstance(n, bool) or n < 0
+            or int(n) != n):
         raise InputError("iteration count must be a non-negative integer")
     return int(n)
 
@@ -424,10 +425,11 @@ def compose(F: LiftedMap, G: LiftedMap) -> LiftedMap:
 
 
 def power(F: LiftedMap, k: int) -> LiftedMap:
-    if k < 1 or int(k) != k:
+    k = _iteration_count(k)
+    if k < 1:
         raise InputError("power requires a positive integer")
     G = F
-    for _ in range(int(k) - 1):
+    for _ in range(k - 1):
         G = compose(F, G)
     return G
 
@@ -566,54 +568,3 @@ def _egcd(a: int, b: int):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-@dataclass(frozen=True)
-class CyclicLift:
-    """Lift of a twist-power map to the cyclic cover R/Z x R in which
-    the invariant class becomes horizontal.
-
-    base is the conjugated planar lift; its underlying map commutes
-    with horizontal integer translation, so reducing the first
-    coordinate mod 1 gives the action on the cover, and the second
-    coordinate tracks the vertical displacement exactly.
-    """
-
-    base: LiftedMap
-    curve_class: tuple
-    power: int
-
-    def iterate_points(self, points, n: int) -> np.ndarray:
-        n = _iteration_count(n)
-        P = _as_points(points)
-        P[:, 0] -= np.floor(P[:, 0])
-        for _ in range(n):
-            P = _apply_chain(self.base, P)
-            P[:, 0] -= np.floor(P[:, 0])
-            _check_divergence(P)
-        return P
-
-
-def cyclic_lift(F: LiftedMap) -> CyclicLift:
-    """Cyclic cover lift.
-
-    For twist-power maps the cover is the one associated to the twist
-    curve class; identity-isotopic maps lift to the cover of (1, 0).
-    Other maps have no invariant class to lift along and are rejected.
-    """
-    cls = isotopy_class(F)
-    if cls.kind == "twist_power":
-        curve_class = cls.curve_class
-        twist_power = cls.power
-    elif cls.kind == "identity":
-        curve_class = (1, 0)
-        twist_power = 0
-    else:
-        raise UnsupportedMapError(
-            "cyclic lift needs a twist-power or identity-isotopic map")
-    p, q = curve_class
-    g, x, y = _egcd(p, q)
-    # M (p, q) = (1, 0), det M = 1
-    M = ((x, y), (-q, p))
-    G = conjugate(F, M)
-    return CyclicLift(G, curve_class, twist_power)

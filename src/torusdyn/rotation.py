@@ -16,11 +16,14 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InapplicableError, InputError
+from .errors import InapplicableError, InputError, UnsupportedMapError
 from .maps import (
     LiftedMap,
+    _apply_chain,
+    _check_divergence,
+    _egcd,
     _iteration_count,
-    cyclic_lift,
+    conjugate,
     isotopy_class,
     iterate_points,
 )
@@ -268,7 +271,8 @@ def classify_shape(region: ConvexRegion, thresholds=None) -> Shape:
 
 def grid_points(grid: int) -> np.ndarray:
     """Cell centers of the uniform grid on the fundamental domain."""
-    if grid < 1 or int(grid) != grid:
+    grid = _iteration_count(grid)
+    if grid < 1:
         raise InputError("grid resolution must be a positive integer")
     side = (np.arange(grid, dtype=float) + 0.5) / grid
     X, Y = np.meshgrid(side, side, indexing="ij")
@@ -316,24 +320,15 @@ def mz_estimate(
     F: LiftedMap, n: int, grid: int, thresholds: ShapeThresholds = None
 ) -> RotSetEstimate:
     """Displacement-hull rotation set estimate at time n."""
-    if n < 1 or int(n) != n:
+    n = _iteration_count(n)
+    if n < 1:
         raise InputError("estimation time n must be a positive integer")
     _require_identity_isotopic(F)
     thresholds = thresholds or DEFAULT_THRESHOLDS
     cloud = displacement_vectors(F, n, grid)
     hull = convex_hull(cloud)
-    return RotSetEstimate(hull, classify_shape(hull, thresholds), int(n),
+    return RotSetEstimate(hull, classify_shape(hull, thresholds), n,
                           int(grid), thresholds, cloud)
-
-
-def pointwise_rotation(F: LiftedMap, x, n: int) -> tuple:
-    """Average displacement of a single orbit over n steps."""
-    if n < 1 or int(n) != n:
-        raise InputError("n must be a positive integer")
-    P0 = np.asarray([x], dtype=float)
-    Pn = iterate_points(F, P0, n)
-    d = (Pn[0] - P0[0]) / float(n)
-    return (float(d[0]), float(d[1]))
 
 
 @dataclass(frozen=True)
@@ -383,10 +378,6 @@ class RotInterval:
 
     low: float
     high: float
-    n: int
-    samples: int
-    curve_class: tuple
-    power: int
 
     @property
     def length(self) -> float:
@@ -395,21 +386,40 @@ class RotInterval:
 
 def twist_rotation_interval(F: LiftedMap, n: int, samples: int) -> RotInterval:
     """Sampled vertical rotation interval of a twist-power or identity
-    isotopic map, on its cyclic_lift cover.  Samples the lattice
-    (i/s, j/s) so exact low-period fibers are hit exactly.
+    isotopic map, on the cyclic cover R/Z x R of its invariant class
+    (of (1, 0) for the identity class).
+
+    Conjugating by M in SL(2, Z) with M (p, q) = (1, 0) makes the class
+    horizontal.  The conjugated lift commutes with horizontal integer
+    translation, so reducing x mod 1 after every step gives the action
+    on the cover, while y tracks the vertical displacement exactly.
+    Samples the lattice (i/s, j/s) so exact low-period fibers are hit
+    exactly.
     """
-    if n < 1 or int(n) != n:
+    n = _iteration_count(n)
+    if n < 1:
         raise InputError("n must be a positive integer")
-    lift = cyclic_lift(F)
-    s = int(samples)
+    cls = isotopy_class(F)
+    if cls.kind == "twist_power":
+        p, q = cls.curve_class
+    elif cls.kind == "identity":
+        p, q = 1, 0
+    else:
+        raise UnsupportedMapError(
+            "twist rotation interval needs a twist-power or "
+            "identity-isotopic map")
+    s = _iteration_count(samples)
     if s < 1:
         raise InputError("samples must be positive")
+    _, x, y = _egcd(p, q)
+    G = conjugate(F, ((x, y), (-q, p)))
     side = np.arange(s, dtype=float) / s
     X, Y = np.meshgrid(side, side, indexing="ij")
     P0 = np.column_stack([X.ravel(), Y.ravel()])
-    Pn = lift.iterate_points(P0, n)
-    disp = (Pn[:, 1] - P0[:, 1]) / float(n)
-    return RotInterval(
-        float(disp.min()), float(disp.max()), int(n), s,
-        lift.curve_class, lift.power,
-    )
+    P = P0.copy()
+    for _ in range(n):
+        P = _apply_chain(G, P)
+        P[:, 0] -= np.floor(P[:, 0])
+        _check_divergence(P)
+    disp = (P[:, 1] - P0[:, 1]) / float(n)
+    return RotInterval(float(disp.min()), float(disp.max()))

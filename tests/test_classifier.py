@@ -200,6 +200,9 @@ def test_cross_check_rejects_bad_iterates():
     for ns in ([1.9, 2], [2.5], ["3"], [None]):
         with pytest.raises(InputError):
             cross_check(F, a, ns)
+    for res in ("8", 2.5, 0):
+        with pytest.raises(InputError):
+            cross_check(F, a, [1], res=res)
     assert [e.n for e in cross_check(F, a, [2.0, 1]).entries] == [1, 2]
 
 

@@ -239,6 +239,41 @@ def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert,
     assert repr(field) in err["message"]
 
 
+@pytest.mark.parametrize("kind, field, claim", [
+    ("fine_path", "length", 1.5),
+    ("fine_path", "intersection_count", 1.9),
+    ("fine_path", "length", True),
+    ("annulus_trap", "power", 1.5),
+    ("annulus_trap", "samples", 512.9),
+    ("annulus_trap", "power", True),
+], ids=["length_1.5", "intersection_count_1.9", "length_true", "power_1.5",
+        "samples_512.9", "power_true"])
+def test_a_count_that_int_would_truncate_is_malformed(tmp_path, capsys,
+                                                      kind, field, claim):
+    """Each claim truncates to the honest count of a valid certificate,
+    so a verifier that parsed counts with int would accept it."""
+    out = str(tmp_path / "o")
+    if kind == "fine_path":
+        fa = curve_file(tmp_path, "a.json", (1, 0))
+        fb = curve_file(tmp_path, "b.json", (0, 1), base=("1/7", "1/11"))
+        assert run(capsys, "distance", "--curve-a", fa, "--curve-b", fb,
+                   "--out", out)[0] == 0
+        cert = read_json(os.path.join(out, "certificate.json"))
+    else:
+        cert = dict(ANNULUS, samples=512)
+    assert cert[field] == int(claim)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "verify-certificate", str(path), "--out", out)[0] == 0
+    path.write_text(json.dumps(dict(cert, **{field: claim})))
+    code, _, stderr = run(capsys, "verify-certificate", str(path),
+                          "--out", out)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "InputError"
+    assert repr(field) in err["message"]
+
+
 @pytest.mark.parametrize("argv, name", [
     (("rotset", "--gallery", "translation", "--schedule", "10,x"),
      "--schedule"),

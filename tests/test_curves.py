@@ -510,12 +510,17 @@ def test_cross_check_of_an_exact_image_on_the_probe():
 def test_curve_orbit_iterates_must_not_decrease():
     F = build_map("shear_segment").map
     orbit = CurveOrbit(F, straight_curve((1, 0)), 8)
+    # counts are integers, never truncated or coerced
+    for bad in (0, 2.5, "4", True):
+        with pytest.raises(InputError):
+            orbit.image(bad)
     orbit.image(3)
     assert orbit.image(3) == image_curve(F, straight_curve((1, 0)), 8, n=3)
     with pytest.raises(InputError):
         orbit.image(2)
-    with pytest.raises(InputError):
-        CurveOrbit(F, straight_curve((1, 0)), 0)
+    for res in (0, 2.5, "8"):
+        with pytest.raises(InputError):
+            CurveOrbit(F, straight_curve((1, 0)), res)
 
 
 def _reduced(pt):

@@ -490,10 +490,13 @@ def test_a_failed_image_is_recorded_by_cross_check_and_raised_by_bounds():
         "n": 1, "intersections": 2, "crossing": 1, "farey": 0}
     for e in entries[1:]:
         assert isinstance(e.exc, ResolutionError)
+        # the record does not pin the orbit's frames and samples
+        assert e.exc.__traceback__ is None
         assert e.to_json_dict() == {
             "n": e.n,
             "error": "image sampling is not simple; raise the resolution"}
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match="^image sampling is not "
+                       "simple; raise the resolution$"):
         translation_length_bounds(F, a, 3, res=64)
 
 
@@ -505,9 +508,11 @@ def test_annulus_trap_positive_and_negative():
     rep = verify_certificate(cert.to_json_dict())
     assert rep["valid"]
     # no power is no search, not a search that found no trap
-    with pytest.raises(InputError):
-        annulus_trap_certificate(F, Fraction(1, 4), Fraction(3, 4),
-                                 max_power=0)
+    # counts are integers, never truncated
+    for max_power, samples in ((0, 512), (2.5, 512), (1, 2.5), (1, 0)):
+        with pytest.raises(InputError):
+            annulus_trap_certificate(F, Fraction(1, 4), Fraction(3, 4),
+                                     max_power=max_power, samples=samples)
     # a translation pushes every annulus off itself
     none = annulus_trap_certificate(
         LiftedMap((Translation((0.0, 0.5)),)), Fraction(1, 4), Fraction(3, 4)

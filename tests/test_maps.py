@@ -14,7 +14,6 @@ from torusdyn.maps import (
     VerticalFlow,
     compose,
     conjugate,
-    cyclic_lift,
     deck_adjust,
     evaluate,
     evaluate_points,
@@ -140,45 +139,12 @@ def test_map_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# cyclic covers
-
-
-def test_cyclic_lift_translation_drift():
-    lift = cyclic_lift(LiftedMap((Translation((0.3, 0.7)),)))
-    P = np.array([[0.0, 0.0], [0.25, 0.5]])
-    n = 40
-    out = lift.iterate_points(P.copy(), n)
-    assert np.allclose(out[:, 1] - P[:, 1], 0.7 * n, atol=1e-9)
-
-
-def test_cyclic_lift_model_twist_preserves_fibers():
-    lift = cyclic_lift(LiftedMap((Linear(((1, 1), (0, 1))),)))
-    P = np.array([[0.1, 0.3], [0.7, 0.9]])
-    out = lift.iterate_points(P.copy(), 25)
-    assert np.allclose(out[:, 1], P[:, 1], atol=1e-12)
-
-
-def test_cyclic_lift_rejects_anosov():
-    with pytest.raises(UnsupportedMapError):
-        cyclic_lift(LiftedMap((Linear(((2, 1), (1, 1))),)))
-
-
-def test_cyclic_lift_vertical_twist_class():
-    """Twist about the (0, 1) curve: the conjugated cover measures the
-    horizontal drift."""
-    F = LiftedMap((Linear(((1, 0), (2, 1))), VerticalFlow(Sin2(), 0.0)))
-    cls = isotopy_class(F)
-    assert cls.curve_class in ((0, 1), (0, -1))
-    lift = cyclic_lift(F)
-    P = np.array([[0.2, 0.6]])
-    out = lift.iterate_points(P.copy(), 10)
-    assert np.all(np.isfinite(out))
+# iteration guards
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_cyclic_lift_non_finite_orbit_raises_divergence(n):
-    # two huge translations overflow x to inf, which the mod 1
-    # reduction turns into NaN while y stays finite
+def test_non_finite_orbit_raises_divergence(n):
+    # two huge translations overflow x to inf
     F = LiftedMap((
         Linear(((1, 1), (0, 1))),
         Translation((1e308, 0.0)),
@@ -187,17 +153,15 @@ def test_cyclic_lift_non_finite_orbit_raises_divergence(n):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             iterate_points(F, [[0.1, 0.2]], n)
-        with pytest.raises(DivergenceError):
-            cyclic_lift(F).iterate_points([[0.1, 0.2]], n)
 
 
-@pytest.mark.parametrize("n", [-1, 2.7])
+@pytest.mark.parametrize("n", [-1, 2.7, "2", True])
 def test_bad_iteration_count_rejected(n):
     F = LiftedMap((Linear(((1, 1), (0, 1))),))
     with pytest.raises(InputError, match="non-negative integer"):
         iterate_points(F, [[0.1, 0.2]], n)
     with pytest.raises(InputError, match="non-negative integer"):
-        cyclic_lift(F).iterate_points([[0.1, 0.2]], n)
+        power(F, n)
 
 
 @pytest.mark.parametrize("make", [

@@ -9,7 +9,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import hausdorff_oracle  # noqa: E402
 
-from torusdyn.errors import InapplicableError, InputError  # noqa: E402
+from torusdyn.errors import (  # noqa: E402
+    DivergenceError,
+    InapplicableError,
+    InputError,
+    UnsupportedMapError,
+)
 from torusdyn.gallery import build_map  # noqa: E402
 from torusdyn.maps import Linear, LiftedMap, Translation  # noqa: E402
 from torusdyn.rotation import (  # noqa: E402
@@ -22,7 +27,6 @@ from torusdyn.rotation import (  # noqa: E402
     grid_points,
     hausdorff,
     mz_estimate,
-    pointwise_rotation,
     twist_rotation_interval,
 )
 
@@ -112,16 +116,18 @@ def test_mz_rejects_non_identity():
         mz_estimate(LiftedMap((Linear(((1, 1), (0, 1))),)), 10, 8)
 
 
+def test_mz_rejects_bad_counts():
+    F = LiftedMap((Translation((0.3, 0.7)),))
+    for n, grid in ((0, 8), (-1, 8), (2.5, 8), ("3", 8), (3, "8"), (3, 0)):
+        with pytest.raises(InputError):
+            mz_estimate(F, n, grid)
+
+
 def test_mz_interior_unit_square():
     est = mz_estimate(build_map("mz_interior").map, 200, 32)
     assert est.shape.kind == "interior"
     sq = ConvexRegion(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     assert hausdorff(est.hull, sq) < 0.05
-
-
-def test_pointwise_rotation_translation():
-    F = LiftedMap((Translation((0.25, -0.5)),))
-    assert pointwise_rotation(F, (0.1, 0.9), 40) == pytest.approx((0.25, -0.5))
 
 
 def test_diagnostics_schedule_validation():
@@ -164,3 +170,39 @@ def test_twist_interval_gallery_endpoints():
     iv = twist_rotation_interval(F, 400, 24)
     assert iv.low == pytest.approx(0.0, abs=1e-3)
     assert iv.high == pytest.approx(1.0, abs=1e-3)
+
+
+def test_twist_interval_rejects_anosov():
+    with pytest.raises(UnsupportedMapError):
+        twist_rotation_interval(LiftedMap((Linear(((2, 1), (1, 1))),)), 10, 4)
+
+
+def test_twist_interval_vertical_twist_class():
+    """A twist about the (0, 1) curve: the cover of that class measures
+    the horizontal drift, here -0.25 on every fiber."""
+    F = LiftedMap((Linear(((1, 0), (1, 1))), Translation((0.25, 0.0))))
+    iv = twist_rotation_interval(F, 40, 8)
+    assert (iv.low, iv.high) == (-0.25, -0.25)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_twist_interval_non_finite_orbit_raises_divergence(n):
+    # two huge translations overflow x to inf, which the mod 1
+    # reduction on the cover turns into NaN while y stays finite
+    F = LiftedMap((
+        Linear(((1, 1), (0, 1))),
+        Translation((1e308, 0.0)),
+        Translation((1e308, 0.0)),
+    ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            twist_rotation_interval(F, n, 2)
+
+
+@pytest.mark.parametrize("n, samples", [
+    (-1, 4), (2.7, 4), ("3", 4), (0, 4), (True, 4),
+    (10, 2.5), (10, "4"), (10, 0)])
+def test_twist_interval_rejects_bad_counts(n, samples):
+    F = LiftedMap((Linear(((1, 1), (0, 1))),))
+    with pytest.raises(InputError):
+        twist_rotation_interval(F, n, samples)
