@@ -34,7 +34,7 @@ from .fine_graph import (
     annulus_trap_certificate,
     orbit_entries,
 )
-from .maps import LiftedMap, _iteration_count, isotopy_class, power
+from .maps import LiftedMap, _integer, isotopy_class, power
 from .rotation import (
     DEFAULT_THRESHOLDS,
     ShapeThresholds,
@@ -78,6 +78,11 @@ class ClassifyParams:
     samples: int = 24
     thresholds: ShapeThresholds = DEFAULT_THRESHOLDS
 
+    def __post_init__(self):
+        for name in ("n", "grid", "samples"):
+            object.__setattr__(
+                self, name, _integer(getattr(self, name), name, 1))
+
     def to_json_dict(self):
         return {
             "n": self.n,
@@ -85,9 +90,7 @@ class ClassifyParams:
             "samples": self.samples,
             "eps_len": EPS_LEN,
             "max_q": MAX_Q,
-            "eps_point": self.thresholds.eps_point,
-            "eps_width": self.thresholds.eps_width,
-            "eps_area": self.thresholds.eps_area,
+            **self.thresholds.to_json_dict(),
             "annuli": [[str(lo), str(hi)] for lo, hi in ANNULI],
             "annulus_power": ANNULUS_POWER,
             "annulus_samples": ANNULUS_SAMPLES,
@@ -336,9 +339,9 @@ def cross_check(F: LiftedMap, a, ns, res: int = 64,
     crossing_cap (default 2 max(ns) + 2) is flagged, a hyperbolic
     verdict with zero Farey growth is flagged.
     """
-    ns = sorted(set(_iteration_count(n) for n in ns))
-    if not ns or ns[0] < 1:
-        raise InputError("iterate counts must be positive")
+    ns = sorted({_integer(n, "iterate count", 1) for n in ns})
+    if not ns:
+        raise InputError("cross check needs an iterate count")
     if crossing_cap is None:
         crossing_cap = 2 * ns[-1] + 2
     entries = list(orbit_entries(F, a, ns, res))

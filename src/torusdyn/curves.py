@@ -35,8 +35,9 @@ from .maps import (
     LiftedMap,
     Linear,
     Translation,
-    _iteration_count,
+    _integer,
     _mat_apply,
+    _vector,
     iterate_points,
     linear_part,
 )
@@ -122,7 +123,7 @@ def is_essential_class(w) -> bool:
 
 def straight_curve(w, base=(0, 0)) -> PLCurve:
     """The straight curve of class w through the base point."""
-    w = (int(w[0]), int(w[1]))
+    w = _vector(w, "straight curve class")
     if not is_essential_class(w):
         raise InputError("straight curve class must be primitive")
     return PLCurve(((_frac(base[0]), _frac(base[1])),), w)
@@ -513,14 +514,10 @@ def lift_to_cover(c: PLCurve, n: int, offset=(0, 0)) -> PLCurve:
     The lift concatenates n periods of the chain; offset picks the
     elevation (offsets differing by the lattice generated by the class
     and n Z^2 give the same component)."""
-    if n < 1 or int(n) != n:
-        raise InputError("cover degree must be a positive integer")
+    n = _integer(n, "cover degree", 1)
     if not is_essential_class(c.w):
         raise InapplicableError("cover lift needs an essential curve")
-    if any(int(v) != v for v in offset):
-        raise InputError("elevation offset must be integral")
-    n = int(n)
-    ox, oy = int(offset[0]), int(offset[1])
+    ox, oy = _vector(offset, "elevation offset")
     verts = []
     for m in range(n):
         for x, y in c.verts:
@@ -557,9 +554,7 @@ class CurveOrbit:
     the walked samples may sit a few ulps off a fresh orbit."""
 
     def __init__(self, F: LiftedMap, c: PLCurve, res: int = 16):
-        res = _iteration_count(res)
-        if res < 1:
-            raise InputError("resolution must be a positive integer")
+        res = _integer(res, "resolution", 1)
         self.F, self.n, self.w = F, 0, c.w
         self._exact = None
         if all(isinstance(p, (Linear, Translation)) for p in F.primitives):
@@ -576,9 +571,7 @@ class CurveOrbit:
         """The image under the n-th iterate: exact for an affine map,
         otherwise a simple PL approximation, the mapped samples snapped
         to rationals and closed with the exact image class A^n w."""
-        n = _iteration_count(n)
-        if n < 1:
-            raise InputError("iterate count must be a positive integer")
+        n = _integer(n, "iterate count", 1)
         if n < self.n:
             raise InputError(
                 f"orbit is at iterate {self.n}; iterates must not decrease")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .maps import CustomPrimitive, register_custom
+from .maps import CustomPrimitive, _finite, _integer, register_custom
 
 GOLDEN_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 # largest truncation a Denjoy map accepts: the circle's tables take
@@ -250,14 +250,20 @@ class _OnDenjoyCircle(CustomPrimitive):
     k_max: int = 10000
 
     def __post_init__(self):
-        if not 2 <= self.k_max <= K_MAX_LIMIT:
+        k_max = _integer(self.k_max, "k_max")
+        if not 2 <= k_max <= K_MAX_LIMIT:
             raise InputError(
-                f"k_max must lie in [2, {K_MAX_LIMIT}], not {self.k_max!r}")
+                f"k_max must lie in [2, {K_MAX_LIMIT}], not {k_max!r}")
+        object.__setattr__(self, "k_max", k_max)
 
     def _circle(self) -> DenjoyCircle:
         return DenjoyCircle.shared(self.k_max)
 
+    def apply(self, P: np.ndarray) -> np.ndarray:
+        return self.iterate_points(P, 1)
 
+
+@register_custom
 @dataclass(frozen=True)
 class DenjoyParabolic(_OnDenjoyCircle):
     """Parabolic-type homeomorphism: in suspension coordinates it moves
@@ -271,13 +277,12 @@ class DenjoyParabolic(_OnDenjoyCircle):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.eps < 1.0:
+        eps = _finite(self.eps, "bump amplitude")
+        if not 0.0 < eps < 1.0:
             raise InputError("bump amplitude must lie in (0, 1)")
         if self.coords not in ("torus", "suspension"):
             raise InputError("coords must be 'torus' or 'suspension'")
-
-    def params(self):
-        return {"k_max": self.k_max, "eps": self.eps, "coords": self.coords}
+        object.__setattr__(self, "eps", eps)
 
     def iterate_points(self, P: np.ndarray, n: int) -> np.ndarray:
         dc = self._circle()
@@ -306,10 +311,8 @@ class DenjoyParabolic(_OnDenjoyCircle):
             return dc.to_torus(fl, x, t_out)
         return np.column_stack([x, t_out])
 
-    def apply(self, P: np.ndarray) -> np.ndarray:
-        return self.iterate_points(P, 1)
 
-
+@register_custom
 @dataclass(frozen=True)
 class DenjoyFlow(_OnDenjoyCircle):
     """Time one map of the vertical suspension flow slowed to rest
@@ -328,11 +331,10 @@ class DenjoyFlow(_OnDenjoyCircle):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.w_fraction <= 2.0:
+        w_fraction = _finite(self.w_fraction, "w_fraction")
+        if w_fraction <= 2.0:
             raise InputError("w_fraction must exceed 2")
-
-    def params(self):
-        return {"k_max": self.k_max, "w_fraction": self.w_fraction}
+        object.__setattr__(self, "w_fraction", w_fraction)
 
     def _chi0(self, dc: DenjoyCircle, x: np.ndarray, j: np.ndarray) -> np.ndarray:
         w = (dc.j0_hi - dc.j0_lo) / self.w_fraction
@@ -402,20 +404,3 @@ class DenjoyFlow(_OnDenjoyCircle):
         theta = np.clip(theta, 0.0, 1.0)
         t_out = m + theta
         return dc.to_torus(fl, x0, t_out)
-
-    def apply(self, P: np.ndarray) -> np.ndarray:
-        return self.iterate_points(P, 1)
-
-
-register_custom(
-    "denjoy_parabolic",
-    lambda k_max=10000, eps=0.5, coords="torus": DenjoyParabolic(
-        int(k_max), float(eps), str(coords)
-    ),
-)
-register_custom(
-    "denjoy_flow",
-    lambda k_max=10000, w_fraction=16.0: DenjoyFlow(
-        int(k_max), float(w_fraction)
-    ),
-)

@@ -36,7 +36,7 @@ from .errors import (
 from .maps import (
     _egcd,
     _field,
-    _iteration_count,
+    _integer,
     isotopy_class,
     iterate_points,
     map_from_json,
@@ -444,9 +444,7 @@ def translation_length_bounds(
     (upper_bound_by_intersection).  The crossing + 1 rule has no
     citation yet (ROADMAP item 5).  The first failed iterate raises its
     error."""
-    n_max = _iteration_count(n_max)
-    if n_max < 1:
-        raise InputError("n_max must be positive")
+    n_max = _integer(n_max, "n_max", 1)
     route = isotopy_class(F).kind
     entries = []
     for e in orbit_entries(F, a, range(1, n_max + 1), res):
@@ -495,11 +493,10 @@ class AnnulusCertificate:
 
 def _annulus_margin(F, lo, hi, power: int, samples: int):
     """Clearance inside lo <= y <= hi of F^power of its boundary circles,
-    samples points each; None outside the identity and twist classes."""
+    samples points each; None outside the identity and twist classes.
+    Both callers pass power and samples as ints >= 1."""
     if not lo < hi < lo + 1:
         raise InputError("annulus needs lo < hi < lo + 1")
-    if power < 1 or samples < 1:
-        raise InputError("annulus trap needs 'power' >= 1 and 'samples' >= 1")
     if isotopy_class(F).kind not in ("identity", "twist_power"):
         return None
     xs = (np.arange(samples, dtype=float) + 0.5) / samples
@@ -526,10 +523,8 @@ def annulus_trap_certificate(
     """Search for N <= max_power with F^N(annulus) strictly inside the
     horizontal annulus, by _annulus_margin.  Returns the first
     certificate found or None."""
-    max_power = _iteration_count(max_power)
-    if max_power < 1:
-        raise InputError("annulus trap needs 'max_power' >= 1")
-    samples = _iteration_count(samples)
+    max_power = _integer(max_power, "max_power", 1)
+    samples = _integer(samples, "samples", 1)
     lo, hi = Fraction(lo), Fraction(hi)
     for N in range(1, max_power + 1):
         margin = _annulus_margin(F, lo, hi, N, samples)
@@ -542,14 +537,10 @@ def annulus_trap_certificate(
     return None
 
 
-def _count_field(cert: dict, key: str) -> int:
-    """cert[key] as an int; an InputError naming the field unless it is
-    a non-negative integral number, so 1.5 or true is not truncated."""
-    value = _field(cert, key, lambda v: v)
-    try:
-        return _iteration_count(value)
-    except InputError as exc:
-        raise InputError(f"bad field {key!r}: {exc}") from exc
+def _count_field(cert: dict, key: str, least: int) -> int:
+    """cert[key] through _integer, so 1.5, true or Infinity is an
+    InputError naming the field, never truncated."""
+    return _integer(_field(cert, key, lambda v: v), f"field {key!r}", least)
 
 
 def verify_certificate(cert: dict) -> dict:
@@ -563,8 +554,8 @@ def verify_certificate(cert: dict) -> dict:
     if cert["type"] == "fine_path":
         curves = _field(
             cert, "curves", lambda ds: tuple(curve_from_json(d) for d in ds))
-        claimed = (_count_field(cert, "intersection_count"),
-                   _count_field(cert, "length"))
+        claimed = (_count_field(cert, "intersection_count", 0),
+                   _count_field(cert, "length", 0))
         length = len(curves) - 1
         out = {"type": "fine_path", "valid": False, "length": length,
                "budget": None}
@@ -590,8 +581,8 @@ def verify_certificate(cert: dict) -> dict:
             _field(cert, "map", map_from_json),
             _field(cert, "lo", Fraction),
             _field(cert, "hi", Fraction),
-            _count_field(cert, "power"),
-            _count_field(cert, "samples"),
+            _count_field(cert, "power", 1),
+            _count_field(cert, "samples", 1),
         )
         return {
             "type": "annulus_trap",

@@ -20,11 +20,13 @@ from .maps import (
     ShearX,
     Translation,
     VerticalFlow,
+    _finite,
     register_custom,
 )
 from .profiles import Plateau, Ramp, Sin2
 
 
+@register_custom
 @dataclass(frozen=True)
 class FiberDrift(CustomPrimitive):
     """(x, y) -> (x, y + time * amp * sin(2 pi y)): preserves every
@@ -37,22 +39,17 @@ class FiberDrift(CustomPrimitive):
     name = "fiber_drift"
 
     def __post_init__(self):
-        if not 0.0 < 2.0 * math.pi * self.time * self.amp < 1.0:
+        amp = _finite(self.amp, "fiber drift amp")
+        time = _finite(self.time, "fiber drift time")
+        if not 0.0 < 2.0 * math.pi * time * amp < 1.0:
             raise InputError("fiber drift must keep vertical monotonicity")
-
-    def params(self):
-        return {"amp": self.amp, "time": self.time}
+        object.__setattr__(self, "amp", amp)
+        object.__setattr__(self, "time", time)
 
     def apply(self, P: np.ndarray) -> np.ndarray:
         yr = P[:, 1] - np.floor(P[:, 1])
         P[:, 1] += self.time * self.amp * np.sin(2.0 * np.pi * yr)
         return P
-
-
-register_custom(
-    "fiber_drift",
-    lambda amp=0.25, time=0.5: FiberDrift(float(amp), float(time)),
-)
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def _translation(vx=0.3, vy=0.7):
 
 def _anosov(a=2, b=1, c=1, d=1):
     return (
-        LiftedMap((Linear(((int(a), int(b)), (int(c), int(d)))),)),
+        LiftedMap((Linear(((a, b), (c, d))),)),
         "hyperbolic linear automorphism",
         "hyperbolic (Anosov isotopy class)",
     )
@@ -134,9 +131,9 @@ def _mz_interior(a=1.0, b=1.0, cx=0.0, cy=0.0):
     )
 
 
-def _denjoy_parabolic(k_max=10000, eps=0.5, coords="torus"):
+def _denjoy_parabolic(**params):
     return (
-        LiftedMap((DenjoyParabolic(int(k_max), float(eps), str(coords)),)),
+        LiftedMap((DenjoyParabolic(**params),)),
         "vertical bump map on the suspension of a Denjoy circle "
         "homeomorphism; rotation set is the single point (0, 0) but "
         "crossing numbers grow without bound",
@@ -144,18 +141,18 @@ def _denjoy_parabolic(k_max=10000, eps=0.5, coords="torus"):
     )
 
 
-def _denjoy_irrational_flow(k_max=10000, w_fraction=16.0):
+def _denjoy_irrational_flow(**params):
     return (
-        LiftedMap((DenjoyFlow(int(k_max), float(w_fraction)),)),
+        LiftedMap((DenjoyFlow(**params),)),
         "time one map of the suspension flow slowed on the Cantor set; "
         "rotation set is a segment of irrational slope through (0, 0)",
         "parabolic-consistent (irrational slope segment)",
     )
 
 
-def _annulus_attractor(amp=0.25, time=0.5):
+def _annulus_attractor(**params):
     return (
-        LiftedMap((FiberDrift(float(amp), float(time)),)),
+        LiftedMap((FiberDrift(**params),)),
         "vertical drift toward y = 1/2; the annulus 1/4 <= y <= 3/4 "
         "maps strictly inside itself",
         "elliptic-certified (invariant annulus trap)",
@@ -186,7 +183,7 @@ def build_map(name: str, **params) -> GalleryEntry:
         raise InputError(f"unknown gallery map: {name!r}")
     try:
         F, desc, expected = builder(**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InputError) as exc:
         given = ", ".join(f"{k}={v!r}" for k, v in params.items())
         raise InputError(
             f"bad parameters ({given}) for gallery map {name!r}: {exc}")

@@ -10,7 +10,7 @@ floating point, not just approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -43,6 +43,36 @@ def _finite(value, what: str) -> float:
     if not math.isfinite(x):
         raise InputError(f"{what} must be finite")
     return x
+
+
+_AT_LEAST = {None: "an integer", 0: "a non-negative integer",
+             1: "a positive integer"}
+
+
+def _integer(value, what: str, least=None) -> int:
+    """value as an int; an InputError naming what unless value is a
+    finite integral real number, not a bool, and at least least (None,
+    0 or 1).  Every count, matrix entry, class and offset of the
+    package is read through it, so none is truncated."""
+    try:
+        ok = (isinstance(value, Real) and not isinstance(value, bool)
+              and int(value) == value
+              and (least is None or value >= least))
+    except (OverflowError, ValueError):
+        ok = False
+    if not ok:
+        raise InputError(f"{what} must be {_AT_LEAST[least]}")
+    return int(value)
+
+
+def _vector(v, what: str) -> tuple:
+    """v as a pair of ints through _integer; an InputError naming what
+    unless v has two entries."""
+    try:
+        x, y = v
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must have two entries") from None
+    return (_integer(x, what), _integer(y, what))
 
 
 class Primitive:
@@ -94,10 +124,7 @@ class Linear(Primitive):
             c, d = m[1]
         except (TypeError, ValueError, IndexError):
             raise InputError("linear matrix must be 2x2")
-        vals = (a, b, c, d)
-        if any(int(x) != x for x in vals):
-            raise InputError("linear matrix entries must be integers")
-        a, b, c, d = (int(x) for x in vals)
+        a, b, c, d = (_integer(x, "linear matrix entry") for x in (a, b, c, d))
         if a * d - b * c not in (1, -1):
             raise InputError("linear matrix must have determinant +-1")
         object.__setattr__(self, "matrix", ((a, b), (c, d)))
@@ -188,7 +215,8 @@ class CustomPrimitive(Primitive):
     """User or gallery supplied primitive.  Must commute with integer
     translations and be isotopic to the identity (linear part I).
 
-    Subclasses implement ``apply`` and may provide
+    Subclasses are dataclasses whose fields are their JSON params, check
+    those fields in ``__post_init__``, implement ``apply`` and may provide
     ``iterate_points(P, n)`` with a faster n-step evaluation.  The chain
     engine uses it for every chain in normal form: Linear factors L,
     k copies of the primitive, Linear factors whose product is L^-1
@@ -205,7 +233,8 @@ class CustomPrimitive(Primitive):
     iterate_points = None
 
     def params(self) -> dict:
-        return {}
+        """The dataclass fields by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self):
         return {"type": "custom", "name": self.name, "params": self.params()}
@@ -214,15 +243,18 @@ class CustomPrimitive(Primitive):
 _CUSTOM_REGISTRY: dict = {}
 
 
-def register_custom(name: str, factory) -> None:
-    _CUSTOM_REGISTRY[name] = factory
+def register_custom(cls):
+    """Make the CustomPrimitive dataclass cls readable from JSON under
+    cls.name; its constructor checks the params.  Returns cls."""
+    _CUSTOM_REGISTRY[cls.name] = cls
+    return cls
 
 
 def custom_from_json(name: str, params: dict) -> CustomPrimitive:
-    factory = _CUSTOM_REGISTRY.get(name)
-    if factory is None:
+    cls = _CUSTOM_REGISTRY.get(name)
+    if cls is None:
         raise InputError(f"unknown custom primitive: {name!r}")
-    return factory(**params)
+    return cls(**params)
 
 
 @dataclass(frozen=True)
@@ -237,11 +269,9 @@ class LiftedMap:
         prims = tuple(self.primitives)
         if not all(isinstance(p, Primitive) for p in prims):
             raise InputError("primitives must be Primitive instances")
-        off = self.deck_offset
-        if len(off) != 2 or any(int(v) != v for v in off):
-            raise InputError("deck offset must be an integer vector")
         object.__setattr__(self, "primitives", prims)
-        object.__setattr__(self, "deck_offset", (int(off[0]), int(off[1])))
+        object.__setattr__(
+            self, "deck_offset", _vector(self.deck_offset, "deck offset"))
 
     def to_json(self) -> dict:
         return {
@@ -338,15 +368,6 @@ def _check_divergence(P: np.ndarray) -> None:
         )
 
 
-def _iteration_count(n) -> int:
-    """n as an int; InputError unless n is a non-negative integral
-    number (a bool is not a count)."""
-    if (not isinstance(n, Real) or isinstance(n, bool) or n < 0
-            or int(n) != n):
-        raise InputError("iteration count must be a non-negative integer")
-    return int(n)
-
-
 def _normal_form(F: LiftedMap):
     """(head, X, k, tail) when the chain, after adjacent inverse Linear
     pairs cancel, is the Linear factors head, k copies of one custom
@@ -385,7 +406,7 @@ def _normal_form(F: LiftedMap):
 
 def iterate_points(F: LiftedMap, points, n: int) -> np.ndarray:
     """n-fold iteration of the lift on an (n_pts, 2) array."""
-    n = _iteration_count(n)
+    n = _integer(n, "iteration count", 0)
     P = _as_points(points)
     if n == 0:
         return P
@@ -425,9 +446,7 @@ def compose(F: LiftedMap, G: LiftedMap) -> LiftedMap:
 
 
 def power(F: LiftedMap, k: int) -> LiftedMap:
-    k = _iteration_count(k)
-    if k < 1:
-        raise InputError("power requires a positive integer")
+    k = _integer(k, "power", 1)
     G = F
     for _ in range(k - 1):
         G = compose(F, G)
@@ -436,9 +455,8 @@ def power(F: LiftedMap, k: int) -> LiftedMap:
 
 def deck_adjust(F: LiftedMap, p) -> LiftedMap:
     """Replace the lift by the deck translate lift + p."""
-    if len(p) != 2 or any(int(v) != v for v in p):
-        raise InputError("deck adjustment must be an integer vector")
-    off = (F.deck_offset[0] + int(p[0]), F.deck_offset[1] + int(p[1]))
+    p = _vector(p, "deck adjustment")
+    off = (F.deck_offset[0] + p[0], F.deck_offset[1] + p[1])
     return LiftedMap(F.primitives, off)
 
 
@@ -456,10 +474,9 @@ def _mat_mul(A, B):
 
 
 def _mat_inv(A):
+    """The inverse of an integer matrix of determinant +-1."""
     (a, b), (c, d) = A
     det = a * d - b * c
-    if det not in (1, -1):
-        raise InputError("conjugating matrix must have determinant +-1")
     return ((d * det, -b * det), (-c * det, a * det))
 
 
@@ -469,11 +486,9 @@ def _mat_apply(A, v):
 
 def conjugate(F: LiftedMap, A) -> LiftedMap:
     """The lift A F A^{-1} for A in GL(2, Z)."""
-    A = tuple(tuple(int(v) for v in row) for row in A)
-    Ainv = _mat_inv(A)
-    prims = (Linear(Ainv),) + F.primitives + (Linear(A),)
-    off = _mat_apply(A, F.deck_offset)
-    return LiftedMap(prims, off)
+    L = Linear(A)
+    prims = (Linear(_mat_inv(L.matrix)),) + F.primitives + (L,)
+    return LiftedMap(prims, _mat_apply(L.matrix, F.deck_offset))
 
 
 def linear_part(F: LiftedMap):

@@ -14,7 +14,7 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class Profile:
         raise NotImplementedError
 
     def params(self) -> dict:
-        return {}
+        """The dataclass fields by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **self.params()}
@@ -79,9 +80,6 @@ class Bump(Profile):
         out[inside] = 0.5 * (1.0 - np.cos(2.0 * np.pi * u))
         return out
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class Plateau(Profile):
@@ -110,9 +108,6 @@ class Plateau(Profile):
         u = (y[down] - self.r1) / (self.r0 - self.r1)
         out[down] = 0.5 * (1.0 + np.cos(np.pi * u))
         return out
-
-    def params(self):
-        return {"l0": self.l0, "l1": self.l1, "r1": self.r1, "r0": self.r0}
 
 
 @dataclass(frozen=True)
@@ -176,9 +171,6 @@ class Ramp(Profile):
         out[mid] = 0.5 * (1.0 - np.cos(np.pi * u))
         out[y >= self.hi] = 1.0
         return out
-
-    def params(self):
-        return {"lo": self.lo, "hi": self.hi}
 
 
 _KINDS = {

@@ -22,7 +22,7 @@ from .maps import (
     _apply_chain,
     _check_divergence,
     _egcd,
-    _iteration_count,
+    _integer,
     conjugate,
     isotopy_class,
     iterate_points,
@@ -46,6 +46,8 @@ class ShapeThresholds:
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise InputError(
                     f"threshold {name!r} must be a number, not {value!r}")
+        object.__setattr__(self, "rational_q_max", _integer(
+            self.rational_q_max, "threshold 'rational_q_max'", 1))
 
     def to_json_dict(self):
         return {
@@ -271,9 +273,7 @@ def classify_shape(region: ConvexRegion, thresholds=None) -> Shape:
 
 def grid_points(grid: int) -> np.ndarray:
     """Cell centers of the uniform grid on the fundamental domain."""
-    grid = _iteration_count(grid)
-    if grid < 1:
-        raise InputError("grid resolution must be a positive integer")
+    grid = _integer(grid, "grid resolution", 1)
     side = (np.arange(grid, dtype=float) + 0.5) / grid
     X, Y = np.meshgrid(side, side, indexing="ij")
     return np.column_stack([X.ravel(), Y.ravel()])
@@ -320,9 +320,7 @@ def mz_estimate(
     F: LiftedMap, n: int, grid: int, thresholds: ShapeThresholds = None
 ) -> RotSetEstimate:
     """Displacement-hull rotation set estimate at time n."""
-    n = _iteration_count(n)
-    if n < 1:
-        raise InputError("estimation time n must be a positive integer")
+    n = _integer(n, "estimation time n", 1)
     _require_identity_isotopic(F)
     thresholds = thresholds or DEFAULT_THRESHOLDS
     cloud = displacement_vectors(F, n, grid)
@@ -350,8 +348,8 @@ class DiagnosticsEntry:
 def convergence_diagnostics(F: LiftedMap, schedule, grid: int) -> list:
     """Hulls along an increasing n schedule, advancing one orbit set
     incrementally, with Hausdorff distances to the final hull."""
-    schedule = [_iteration_count(n) for n in schedule]
-    if not schedule or any(n < 1 for n in schedule):
+    schedule = [_integer(n, "schedule entry", 1) for n in schedule]
+    if not schedule:
         raise InputError("schedule must list positive integers")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("schedule must be strictly increasing")
@@ -396,9 +394,8 @@ def twist_rotation_interval(F: LiftedMap, n: int, samples: int) -> RotInterval:
     Samples the lattice (i/s, j/s) so exact low-period fibers are hit
     exactly.
     """
-    n = _iteration_count(n)
-    if n < 1:
-        raise InputError("n must be a positive integer")
+    n = _integer(n, "n", 1)
+    s = _integer(samples, "samples", 1)
     cls = isotopy_class(F)
     if cls.kind == "twist_power":
         p, q = cls.curve_class
@@ -408,9 +405,6 @@ def twist_rotation_interval(F: LiftedMap, n: int, samples: int) -> RotInterval:
         raise UnsupportedMapError(
             "twist rotation interval needs a twist-power or "
             "identity-isotopic map")
-    s = _iteration_count(samples)
-    if s < 1:
-        raise InputError("samples must be positive")
     _, x, y = _egcd(p, q)
     G = conjugate(F, ((x, y), (-q, p)))
     side = np.arange(s, dtype=float) / s

@@ -63,6 +63,8 @@ def test_gallery_verdicts(name, kwargs, verdicts, route):
     out = result.to_json_dict()
     assert out["verdict"] == result.verdict
     assert out["params"]["n"] == 400
+    # every threshold the classifier applies is echoed
+    assert out["params"].items() >= PARAMS.thresholds.to_json_dict().items()
 
 
 def test_gallery_table_is_complete():

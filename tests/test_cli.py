@@ -1,6 +1,7 @@
 """End to end tests of the command line interface, run in process."""
 
 import json
+import math
 import os
 import sys
 
@@ -224,9 +225,16 @@ ANNULUS = {"type": "annulus_trap", "lo": "1/4", "hi": "3/4", "power": 1,
     (dict(ANNULUS, samples=0), "samples"),
     (dict(ANNULUS, samples=-3), "samples"),
     (dict(ANNULUS, power=0), "power"),
+    # json.dumps writes Infinity and NaN, which int() cannot convert
+    ({"type": "fine_path", "intersection_count": 0, "length": math.inf,
+      "curves": [HORIZONTAL]}, "length"),
+    ({"type": "fine_path", "intersection_count": 0, "length": math.nan,
+      "curves": [HORIZONTAL]}, "length"),
+    (dict(ANNULUS, power=math.inf), "power"),
 ], ids=["nan_vertex", "zero_denominator", "missing_curves",
         "bad_intersection_count", "annulus_without_map", "zero_samples",
-        "negative_samples", "zero_power"])
+        "negative_samples", "zero_power", "infinite_length", "nan_length",
+        "infinite_power"])
 def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert,
                                                  field):
     path = tmp_path / "cert.json"
@@ -283,15 +291,25 @@ def test_a_count_that_int_would_truncate_is_malformed(tmp_path, capsys,
     (("classify", "--gallery", "denjoy_parabolic", "--param",
       "k_max=1000000000"), "k_max"),
     (("gallery", "anosov", "--param", "a=x"), "a='x'"),
+    (("classify", "--gallery", "anosov", "--param", "a=2.5"), "a=2.5"),
+    (("classify", "--gallery", "denjoy_parabolic", "--param",
+      "k_max=2000.7"), "k_max=2000.7"),
     (("rotset", "--gallery", "translation", "--thresholds",
       "thresholds.json"), "'eps_point'"),
+    (("classify", "--gallery", "translation", "--thresholds",
+      "q_max.json"), "'rational_q_max'"),
+    (("classify", "--gallery", "anosov", "-n", "0", "--grid", "-5",
+      "--samples", "0"), "n must be a positive integer"),
 ], ids=["schedule_not_integers", "infinite_param", "builder_rejects_param",
         "denjoy_k_max_too_large", "gallery_param_not_integer",
-        "threshold_not_a_number"])
+        "matrix_entry_not_integral", "denjoy_k_max_not_integral",
+        "threshold_not_a_number", "rational_q_max_zero",
+        "classify_counts_not_positive"])
 def test_malformed_argument_is_an_input_error(tmp_path, capsys, monkeypatch,
                                               argv, name):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "thresholds.json").write_text('{"eps_point": "x"}')
+    (tmp_path / "q_max.json").write_text('{"rational_q_max": 0}')
     if argv[0] == "rotset":
         argv += ("-n", "10", "--grid", "4")
     code, _, stderr = run(capsys, *argv, "--out", "o")
@@ -413,9 +431,12 @@ def test_error_exit_codes(tmp_path, capsys, command, source, code, error):
                      {"type": "linear"}]}, ("primitive 1", "'matrix'")),
     ({"primitives": [{"type": "custom", "name": "denjoy_flow",
                       "params": {"speed": 2}}]}, ("primitive 0", "'params'")),
+    ({"primitives": [{"type": "custom", "name": "denjoy_parabolic",
+                      "params": {"k_max": 2000.7}}]},
+     ("primitive 0", "k_max")),
     ([{"type": "translation", "v": [0.5, 0]}], ("map spec",)),
 ], ids=["missing_profile", "strength_not_a_number", "missing_matrix",
-        "unknown_custom_parameter", "top_level_list"])
+        "unknown_custom_parameter", "k_max_not_integral", "top_level_list"])
 def test_malformed_map_spec_is_an_input_error(tmp_path, capsys, spec, names):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(spec))

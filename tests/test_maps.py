@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusdyn.curves import horizontal_circle, lift_to_cover, straight_curve
 from torusdyn.errors import DivergenceError, InputError, UnsupportedMapError
 from torusdyn.gallery import build_map, gallery_names
 from torusdyn.maps import (
@@ -160,8 +161,32 @@ def test_bad_iteration_count_rejected(n):
     F = LiftedMap((Linear(((1, 1), (0, 1))),))
     with pytest.raises(InputError, match="non-negative integer"):
         iterate_points(F, [[0.1, 0.2]], n)
-    with pytest.raises(InputError, match="non-negative integer"):
+    with pytest.raises(InputError, match="power must be a positive integer"):
         power(F, n)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Linear(((True, 0), (0, True))),
+     "linear matrix entry must be an integer"),
+    (lambda: conjugate(shear_map(), ((1.9, 0), (0, 1))),
+     "linear matrix entry must be an integer"),
+    (lambda: LiftedMap((), (True, 0)), "deck offset must be an integer"),
+    (lambda: deck_adjust(shear_map(), (True, 0)),
+     "deck adjustment must be an integer"),
+    (lambda: straight_curve((1.5, 0)),
+     "straight curve class must be an integer"),
+    (lambda: straight_curve(("1", 0)),
+     "straight curve class must be an integer"),
+    (lambda: lift_to_cover(horizontal_circle(0), "2"),
+     "cover degree must be a positive integer"),
+    (lambda: lift_to_cover(horizontal_circle(0), True),
+     "cover degree must be a positive integer"),
+], ids=["linear_bool", "conjugate_1.9", "deck_offset_bool", "deck_adjust_bool",
+        "straight_1.5", "straight_str", "cover_str", "cover_bool"])
+def test_an_integer_input_is_never_truncated(make, message):
+    with pytest.raises(InputError) as err:
+        make()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("make", [
