@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .classifier import ClassifyParams, classify
-from .curves import CurvePair, read_curve
+from .curves import CurvePair, parse_curve
 from .errors import InputError, NonGenericError, TorusDynError
 from .fine_graph import (
     farey_lower_bound,
@@ -51,18 +51,32 @@ def _artifact(config: dict, payload: dict) -> dict:
     return out
 
 
-def _read_json(path, what):
-    """Parse a JSON input file; unreadable or malformed files are input
-    errors naming what the file should hold."""
+def _read_text(path, what) -> str:
+    """The text of an input file; a file that cannot be read or is not
+    UTF-8 is an input error naming what it should hold."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {what}: {exc}")
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+
+
+def _read_json(path, what):
+    """Parse a JSON input file; malformed JSON is an input error naming
+    what the file should hold."""
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed {what} JSON at line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}")
+
+
+def _read_curves(args):
+    """The curves of --curve-a and --curve-b."""
+    return tuple(parse_curve(_read_text(path, "curve file"))
+                 for path in (args.curve_a, args.curve_b))
 
 
 def _parse_gallery_params(items) -> dict:
@@ -238,8 +252,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_crossing(args) -> int:
-    a = read_curve(args.curve_a)
-    b = read_curve(args.curve_b)
+    a, b = _read_curves(args)
     config = {"curve_a": args.curve_a, "curve_b": args.curve_b}
     pair = CurvePair(a, b)
     cn = pair.crossing_number()
@@ -258,8 +271,7 @@ def cmd_crossing(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    a = read_curve(args.curve_a)
-    b = read_curve(args.curve_b)
+    a, b = _read_curves(args)
     config = {"curve_a": args.curve_a, "curve_b": args.curve_b}
     lower = farey_lower_bound(a, b)
     path = upper_bound_by_intersection(a, b)

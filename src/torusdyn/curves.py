@@ -45,7 +45,7 @@ from .maps import (
 BBOX_PAD = 1e-9
 PAIR_CHUNK = 256  # segments of a per vectorised bounding-box test
 SNAP_DENOMINATOR = 10**9
-IMAGE_RETRIES = 8
+IMAGE_RETRIES = 8  # translates CurveOrbit.pair tries
 
 
 def _frac(x) -> Fraction:
@@ -569,8 +569,9 @@ class CurveOrbit:
 
     def image(self, n: int) -> PLCurve:
         """The image under the n-th iterate: exact for an affine map,
-        otherwise a simple PL approximation, the mapped samples snapped
-        to rationals and closed with the exact image class A^n w."""
+        otherwise the mapped samples snapped to rationals and closed
+        with the exact image class A^n w.  A sampled image that is not
+        simple raises ResolutionError."""
         n = _integer(n, "iterate count", 1)
         if n < self.n:
             raise InputError(
@@ -594,26 +595,11 @@ class CurveOrbit:
         closing = (verts[0][0] + w[0], verts[0][1] + w[1])
         while len(verts) > 1 and verts[-1] == closing:
             verts.pop()
-        base = PLCurve(tuple(verts), w)
-        if is_simple(base):
-            return base
-        # maps with flat stretches can snap distinct image arcs onto
-        # exactly overlapping segments; a deterministic microscopic
-        # vertex jitter separates them without moving the curve beyond
-        # snapping precision
-        for k in range(1, IMAGE_RETRIES + 1):
-            jittered = tuple(
-                (
-                    x + Fraction(k * ((37 * i) % 101 - 50), 10**12),
-                    y + Fraction(k * ((53 * i) % 101 - 50), 10**12),
-                )
-                for i, (x, y) in enumerate(verts)
-            )
-            cand = PLCurve(jittered, w)
-            if is_simple(cand):
-                return cand
-        raise ResolutionError(
-            "image sampling is not simple; raise the resolution")
+        img = PLCurve(tuple(verts), w)
+        if not is_simple(img):
+            raise ResolutionError(
+                "image sampling is not simple; raise the resolution")
+        return img
 
     def pair(self, n: int, reference: PLCurve) -> CurvePair:
         """CurvePair(reference, image) of the n-th image, translated by
@@ -730,11 +716,6 @@ def format_curve(c: PLCurve) -> str:
     for x, y in c.verts:
         lines.append(f"{x} {y}")
     return "\n".join(lines) + "\n"
-
-
-def read_curve(path) -> PLCurve:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_curve(fh.read())
 
 
 def write_curve(path, c: PLCurve) -> None:

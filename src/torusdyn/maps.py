@@ -120,10 +120,9 @@ class Linear(Primitive):
     def __post_init__(self):
         m = self.matrix
         try:
-            a, b = m[0]
-            c, d = m[1]
-        except (TypeError, ValueError, IndexError):
-            raise InputError("linear matrix must be 2x2")
+            (a, b), (c, d) = m
+        except (TypeError, ValueError):
+            raise InputError("linear matrix must be 2x2") from None
         a, b, c, d = (_integer(x, "linear matrix entry") for x in (a, b, c, d))
         if a * d - b * c not in (1, -1):
             raise InputError("linear matrix must have determinant +-1")
@@ -437,12 +436,11 @@ def iterate(F: LiftedMap, n: int, x) -> tuple:
 
 
 def compose(F: LiftedMap, G: LiftedMap) -> LiftedMap:
-    """The lift F after G (apply G first)."""
-    prims = list(G.primitives)
-    if G.deck_offset != (0, 0):
-        prims.append(Translation((float(G.deck_offset[0]), float(G.deck_offset[1]))))
-    prims.extend(F.primitives)
-    return LiftedMap(tuple(prims), F.deck_offset)
+    """The lift F after G (apply G first).  F's chain moves G's deck
+    offset p_G to A_F p_G, so the offset stays the integer A_F p_G + p_F."""
+    p = _mat_apply(linear_part(F), G.deck_offset)
+    return LiftedMap(G.primitives + F.primitives,
+                     (p[0] + F.deck_offset[0], p[1] + F.deck_offset[1]))
 
 
 def power(F: LiftedMap, k: int) -> LiftedMap:

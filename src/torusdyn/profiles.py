@@ -14,6 +14,7 @@ point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -119,7 +120,11 @@ class PLTable(Profile):
     ys: tuple = ()
 
     def __post_init__(self):
-        xs, ys = self.xs, self.ys
+        xs, ys = (tuple(float(v) for v in vs) for vs in (self.xs, self.ys))
+        if not all(math.isfinite(v) for v in xs + ys):
+            raise InputError("pl_table knots and values must be finite")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise InputError("pl_table needs matching knot and value lists")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
@@ -185,10 +190,7 @@ def profile_from_json(spec: dict) -> Profile:
     cls = _KINDS.get(kind)
     if cls is None:
         raise InputError(f"unknown profile kind: {kind!r}")
-    if cls is PLTable:
-        spec["xs"] = tuple(spec.get("xs", ()))
-        spec["ys"] = tuple(spec.get("ys", ()))
     try:
         return cls(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad parameters for profile {kind!r}: {exc}")

@@ -46,6 +46,10 @@ class ShapeThresholds:
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise InputError(
                     f"threshold {name!r} must be a number, not {value!r}")
+            if name != "rational_q_max" and not 0 <= value < math.inf:
+                raise InputError(
+                    f"threshold {name!r} must be finite and >= 0, "
+                    f"not {value!r}")
         object.__setattr__(self, "rational_q_max", _integer(
             self.rational_q_max, "threshold 'rational_q_max'", 1))
 

@@ -24,7 +24,7 @@ from torusdyn.classifier import (  # noqa: E402
 from torusdyn.curves import PLCurve, straight_curve
 from torusdyn.errors import InputError
 from torusdyn.gallery import build_map, gallery_names
-from torusdyn.maps import LiftedMap, Translation, conjugate
+from torusdyn.maps import LiftedMap, Linear, Translation, conjugate
 
 PARAMS = ClassifyParams(n=400, grid=32)
 
@@ -135,6 +135,16 @@ def test_translations_never_hyperbolic(seed):
     F = LiftedMap([Translation((float(v[0]), float(v[1])))])
     result = classify(F, ClassifyParams(n=200, grid=16))
     assert result.verdict != "Hyperbolic"
+
+
+def test_finite_order_class_is_classified_through_its_power():
+    """A quarter turn has linear part of order 4; its fourth power is
+    the identity, whose rotation set is a point."""
+    result = classify(LiftedMap((Linear(((0, -1), (1, 0))),)),
+                      ClassifyParams(n=200, grid=16))
+    assert result.verdict == "Undetermined"
+    assert result.route == "IdentityIsotopicRotSet"
+    assert result.notes[0].startswith("linear part has finite order 4;")
 
 
 @pytest.mark.parametrize("name", ["anosov", "mz_interior"])

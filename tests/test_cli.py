@@ -300,16 +300,20 @@ def test_a_count_that_int_would_truncate_is_malformed(tmp_path, capsys,
       "q_max.json"), "'rational_q_max'"),
     (("classify", "--gallery", "anosov", "-n", "0", "--grid", "-5",
       "--samples", "0"), "n must be a positive integer"),
+    (("rotset", "--gallery", "translation", "--thresholds", "nan.json"),
+     "threshold 'eps_point' must be finite and >= 0"),
 ], ids=["schedule_not_integers", "infinite_param", "builder_rejects_param",
         "denjoy_k_max_too_large", "gallery_param_not_integer",
         "matrix_entry_not_integral", "denjoy_k_max_not_integral",
         "threshold_not_a_number", "rational_q_max_zero",
-        "classify_counts_not_positive"])
+        "classify_counts_not_positive", "threshold_nan"])
 def test_malformed_argument_is_an_input_error(tmp_path, capsys, monkeypatch,
                                               argv, name):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "thresholds.json").write_text('{"eps_point": "x"}')
     (tmp_path / "q_max.json").write_text('{"rational_q_max": 0}')
+    (tmp_path / "nan.json").write_text(
+        '{"eps_point": NaN, "eps_width": NaN, "eps_area": NaN}')
     if argv[0] == "rotset":
         argv += ("-n", "10", "--grid", "4")
     code, _, stderr = run(capsys, *argv, "--out", "o")
@@ -435,8 +439,22 @@ def test_error_exit_codes(tmp_path, capsys, command, source, code, error):
                       "params": {"k_max": 2000.7}}]},
      ("primitive 0", "k_max")),
     ([{"type": "translation", "v": [0.5, 0]}], ("map spec",)),
+    ({"primitives": [{"type": "linear",
+                      "matrix": [[2, 1], [1, 1], [5, 5]]}]},
+     ("primitive 0", "linear matrix must be 2x2")),
+    ({"primitives": [{"type": "shear_x", "profile": {
+        "kind": "pl_table", "xs": [0, 0.5], "ys": ["a", "b"]}}]},
+     ("primitive 0", "bad parameters for profile 'pl_table'")),
+    ({"primitives": [{"type": "shear_x", "profile": {
+        "kind": "pl_table", "xs": [0, math.nan], "ys": [0, 1]}}]},
+     ("primitive 0", "pl_table knots and values must be finite")),
+    ({"primitives": [{"type": "shear_x", "profile": {
+        "kind": "pl_table", "xs": [0, 0.5], "ys": [0, math.inf]}}]},
+     ("primitive 0", "pl_table knots and values must be finite")),
 ], ids=["missing_profile", "strength_not_a_number", "missing_matrix",
-        "unknown_custom_parameter", "k_max_not_integral", "top_level_list"])
+        "unknown_custom_parameter", "k_max_not_integral", "top_level_list",
+        "matrix_extra_row", "pl_table_values_not_numbers",
+        "pl_table_knot_nan", "pl_table_value_infinite"])
 def test_malformed_map_spec_is_an_input_error(tmp_path, capsys, spec, names):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(spec))
@@ -450,27 +468,35 @@ def test_malformed_map_spec_is_an_input_error(tmp_path, capsys, spec, names):
         assert name in err["message"]
 
 
-# the command line reading each kind of JSON input, without the file
+# the command line reading each kind of input file, without the file
 READERS = {
     "map spec": ("classify", "--map"),
     "thresholds": ("rotset", "--gallery", "translation", "-n", "10",
                    "--grid", "4", "--thresholds"),
     "certificate": ("verify-certificate",),
+    "curve file": ("crossing", "--curve-a"),
 }
 
 
-@pytest.mark.parametrize("kind", ["map spec", "thresholds", "certificate"])
-@pytest.mark.parametrize("broken", ["missing", "malformed"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("broken", ["missing", "not_utf8", "malformed"])
 def test_json_inputs_unreadable_or_malformed(tmp_path, capsys, kind, broken):
     path = tmp_path / "input.json"
-    if broken == "malformed":
+    if broken == "malformed" and kind == "curve file":
+        path.write_text("# class 1 0\n0 x\n")
+        prefix = "bad rational in curve file: '0 x'"
+    elif broken == "malformed":
         path.write_text('{"a": 1,\n  "b": [')
         prefix = f"malformed {kind} JSON at line 2 column "
     else:
+        if broken == "not_utf8":
+            path.write_bytes(b'{"a": "\xff"}')
         prefix = f"cannot read {kind}: "
+    argv = (*READERS[kind], str(path))
+    if kind == "curve file":
+        argv += ("--curve-b", str(path))
     out = str(tmp_path / "o")
-    code, _, stderr = run(
-        capsys, *READERS[kind], str(path), "--out", out)
+    code, _, stderr = run(capsys, *argv, "--out", out)
     assert code == 2
     err = json.loads(stderr)
     assert err["error"] == "InputError"

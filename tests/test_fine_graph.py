@@ -412,6 +412,16 @@ def test_translation_length_bounds_translation_zero():
     assert tb.upper <= 1.0
 
 
+def test_translation_length_bounds_of_an_invariant_curve_are_zero():
+    """The model twist fixes the horizontal circle pointwise, so every
+    image is the probe itself and bounds the distance by 0."""
+    tb = translation_length_bounds(
+        build_map("twist_model").map, straight_curve((1, 0)), 3)
+    assert [(e.n, e.upper_numerator, e.lower_numerator)
+            for e in tb.entries] == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    assert tb.upper == 0.0
+
+
 @pytest.mark.parametrize("caller,segments", [
     pytest.param("translation_length_bounds", 1, id="1"),
     pytest.param("translation_length_bounds", 2, id="2"),
@@ -498,6 +508,24 @@ def test_a_failed_image_is_recorded_by_cross_check_and_raised_by_bounds():
     with pytest.raises(ResolutionError, match="^image sampling is not "
                        "simple; raise the resolution$"):
         translation_length_bounds(F, a, 3, res=64)
+
+
+def test_a_sampled_image_that_is_not_simple_fails_at_once(monkeypatch):
+    """The failed image above is one candidate and one simplicity test:
+    no perturbed copy is tried before ResolutionError."""
+    orbit = curves.CurveOrbit(
+        build_map("mz_interior").map, straight_curve((1, 0)), 64)
+    orbit.image(1)
+    tested = []
+
+    def counted(c):
+        tested.append(c)
+        return is_simple(c)
+
+    monkeypatch.setattr(curves, "is_simple", counted)
+    with pytest.raises(ResolutionError):
+        orbit.image(2)
+    assert len(tested) == 1
 
 
 def test_annulus_trap_positive_and_negative():

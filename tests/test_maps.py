@@ -274,6 +274,7 @@ VARIANTS = {
     "power": lambda F: power(F, 2),
     "conj_shear": lambda F: conjugate(F, [[1, 1], [0, 1]]),
     "conj_rotation": lambda F: conjugate(F, [[0, -1], [1, 0]]),
+    "power_of_deck": lambda F: power(deck_adjust(F, (1, 2)), 2),
 }
 
 
