@@ -205,7 +205,8 @@ def _twist_route(F: LiftedMap, cls, params: ClassifyParams, notes: list):
         return HYPERBOLIC, evidence, None
     mid = 0.5 * (interval.low + interval.high)
     frac = Fraction(mid).limit_denominator(MAX_Q)
-    if abs(float(frac) - mid) <= EPS_LEN:
+    tol = params.thresholds.rational_tol
+    if interval.low - tol <= frac <= interval.high + tol:
         evidence["rational_value"] = str(frac)
         notes.append(
             "twist rotation interval is short and sits near a low "

@@ -45,7 +45,6 @@ from .maps import (
 BBOX_PAD = 1e-9
 PAIR_CHUNK = 256  # segments of a per vectorised bounding-box test
 SNAP_DENOMINATOR = 10**9
-IMAGE_RETRIES = 8  # translates CurveOrbit.pair tries
 
 
 def _frac(x) -> Fraction:
@@ -602,21 +601,19 @@ class CurveOrbit:
         return img
 
     def pair(self, n: int, reference: PLCurve) -> CurvePair:
-        """CurvePair(reference, image) of the n-th image, translated by
-        a deterministic schedule until it meets the reference
-        transversally or not at all.  An exact image that is the
-        straight reference itself is an answer and stays put.  The
-        accepted pair has decided its transversality once."""
-        base = self.image(n)
-        shift = (Fraction(1, 10**9), Fraction(1, 2 * 10**9))
-        for attempt in range(IMAGE_RETRIES + 1):
-            cand = base if attempt == 0 else base.translated(
-                attempt * shift[0], attempt * shift[1]
-            )
-            pair = CurvePair(reference, cand)
-            if pair.transverse() or (
-                    attempt == 0 and self._exact is not None and pair.same):
-                return pair
+        """CurvePair(reference, image) of the n-th image, or of the image
+        moved once by (1e-9, 0.5e-9) when the image itself does not
+        meet the reference transversally.  An exact image that is the straight reference itself
+        is an answer and stays put.  The accepted pair has decided its
+        transversality once."""
+        img = self.image(n)
+        pair = CurvePair(reference, img)
+        if pair.transverse() or (self._exact is not None and pair.same):
+            return pair
+        pair = CurvePair(reference, img.translated(
+            Fraction(1, 10**9), Fraction(1, 2 * 10**9)))
+        if pair.transverse():
+            return pair
         raise ResolutionError(
             "could not place the image curve transverse to the reference"
         )

@@ -20,7 +20,7 @@ from .errors import (
     InputError,
     UnsupportedMapError,
 )
-from .profiles import Profile, profile_from_json
+from .profiles import Profile, _finite, profile_from_json
 
 DIVERGENCE_GUARD = 1e15
 
@@ -36,13 +36,6 @@ def _as_points(x) -> np.ndarray:
     if not np.all(np.isfinite(P)):
         raise InputError("points must be finite")
     return P
-
-
-def _finite(value, what: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise InputError(f"{what} must be finite")
-    return x
 
 
 _AT_LEAST = {None: "an integer", 0: "a non-negative integer",

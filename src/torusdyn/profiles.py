@@ -16,10 +16,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
 from .errors import InputError
+
+
+def _finite(value, what: str) -> float:
+    """value as a float: a TypeError naming what unless value is a real
+    number and not a bool, an InputError unless it is finite.  Every
+    real parameter of a map or profile is read through it."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{what} must be a number, not {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,13 @@ class Profile:
     def params(self) -> dict:
         """The dataclass fields by name, in declaration order."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def _finite_fields(self, what: str) -> tuple:
+        """Replace every field by _finite(field, what); the new values."""
+        values = tuple(_finite(v, what) for v in self.params().values())
+        for f, v in zip(fields(self), values):
+            object.__setattr__(self, f.name, v)
+        return values
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **self.params()}
@@ -71,7 +91,8 @@ class Bump(Profile):
     b: float = 0.75
 
     def __post_init__(self):
-        if not 0.0 <= self.a < self.b <= 1.0:
+        a, b = self._finite_fields("bump support")
+        if not 0.0 <= a < b <= 1.0:
             raise InputError("bump support must satisfy 0 <= a < b <= 1")
 
     def values(self, y):
@@ -96,7 +117,8 @@ class Plateau(Profile):
     r0: float = 0.875
 
     def __post_init__(self):
-        if not 0.0 <= self.l0 < self.l1 < self.r1 < self.r0 <= 1.0:
+        l0, l1, r1, r0 = self._finite_fields("plateau breakpoints")
+        if not 0.0 <= l0 < l1 < r1 < r0 <= 1.0:
             raise InputError("plateau breakpoints must increase in [0, 1]")
 
     def values(self, y):
@@ -120,9 +142,8 @@ class PLTable(Profile):
     ys: tuple = ()
 
     def __post_init__(self):
-        xs, ys = (tuple(float(v) for v in vs) for vs in (self.xs, self.ys))
-        if not all(math.isfinite(v) for v in xs + ys):
-            raise InputError("pl_table knots and values must be finite")
+        xs, ys = (tuple(_finite(v, "pl_table knots and values") for v in vs)
+                  for vs in (self.xs, self.ys))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if len(xs) != len(ys) or len(xs) < 2:
@@ -166,7 +187,8 @@ class Ramp(Profile):
     degree = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.lo < self.hi <= 1.0:
+        lo, hi = self._finite_fields("ramp bounds")
+        if not 0.0 <= lo < hi <= 1.0:
             raise InputError("ramp must satisfy 0 <= lo < hi <= 1")
 
     def values(self, y):

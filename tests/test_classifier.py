@@ -24,7 +24,9 @@ from torusdyn.classifier import (  # noqa: E402
 from torusdyn.curves import PLCurve, straight_curve
 from torusdyn.errors import InputError
 from torusdyn.gallery import build_map, gallery_names
-from torusdyn.maps import LiftedMap, Linear, Translation, conjugate
+from torusdyn.maps import LiftedMap, Linear, ShearX, Translation, conjugate
+from torusdyn.profiles import Sin2
+from torusdyn.rotation import ShapeThresholds
 
 PARAMS = ClassifyParams(n=400, grid=32)
 
@@ -145,6 +147,48 @@ def test_finite_order_class_is_classified_through_its_power():
     assert result.verdict == "Undetermined"
     assert result.route == "IdentityIsotopicRotSet"
     assert result.notes[0].startswith("linear part has finite order 4;")
+
+
+def _drifted_twist(drift):
+    return LiftedMap((Linear(((1, 1), (0, 1))), Translation((0.0, drift))))
+
+
+def test_a_twist_drifting_by_an_irrational_is_undetermined():
+    """The model twist drifted by the golden mean has a short interval
+    about (sqrt 5 - 1)/2; no rational of denominator at most MAX_Q lies
+    in it, though 55/89 lies within EPS_LEN of it."""
+    result = classify(_drifted_twist((math.sqrt(5.0) - 1.0) / 2.0), PARAMS)
+    assert result.route == "TwistInterval"
+    assert result.verdict == "Undetermined"
+    assert "rational_value" not in result.evidence
+    assert result.notes == [
+        "twist rotation interval is short but not resolved against "
+        "rational values; no verdict"]
+
+
+def test_a_twist_drifting_by_a_rational_is_elliptic_consistent():
+    result = classify(_drifted_twist(0.3), PARAMS)
+    assert result.verdict == "EllipticConsistent"
+    assert result.evidence["rational_value"] == "3/10"
+
+
+def test_a_rational_slope_segment_off_every_rational_point():
+    """A slow shear drifted by 0.002 along x has the horizontal rotation
+    segment from about (0.002, 0) to (0.008, 0).  Its nearest point of
+    denominator at most MAX_Q is (0, 0), about 0.002 away: within twice
+    the default eps_width, but not within twice 1e-4."""
+    F = LiftedMap((ShearX(Sin2(), 0.006), Translation((0.002, 0.0))))
+    narrow = ClassifyParams(n=400, grid=32,
+                            thresholds=ShapeThresholds(eps_width=1e-4))
+    result = classify(F, narrow)
+    assert result.verdict == "Undetermined"
+    assert result.evidence["shape"]["kind"] == "segment"
+    assert result.notes == [
+        "segment of rational slope with no nearby low denominator "
+        "rational point; no verdict"]
+    result = classify(F, PARAMS)
+    assert result.verdict == "EllipticConsistent"
+    assert result.evidence["rational_point"] == ["0", "0"]
 
 
 @pytest.mark.parametrize("name", ["anosov", "mz_interior"])

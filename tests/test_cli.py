@@ -83,6 +83,24 @@ def test_rotset_determinism(tmp_path, capsys):
                 == read_bytes(os.path.join(outs[1], name)))
 
 
+def test_rotset_schedule_diagnostics(tmp_path, capsys):
+    """--schedule writes one diagnostics entry per scheduled n, the
+    last at Hausdorff distance 0 from the final hull, and the same
+    bytes on every run."""
+    outs = []
+    for sub in ("a", "b"):
+        out = str(tmp_path / sub)
+        code, _, _ = run(
+            capsys, "rotset", "--gallery", "translation", "-n", "50",
+            "--grid", "4", "--schedule", "10,20,50", "--out", out)
+        assert code == 0
+        outs.append(os.path.join(out, "rotset.json"))
+    assert read_bytes(outs[0]) == read_bytes(outs[1])
+    diags = read_json(outs[0])["diagnostics"]
+    assert [d["n"] for d in diags] == [10, 20, 50]
+    assert diags[-1]["hausdorff_to_final"] == 0.0
+
+
 def test_classify_command(tmp_path, capsys):
     out = str(tmp_path / "o")
     code, stdout, _ = run(
@@ -451,10 +469,32 @@ def test_error_exit_codes(tmp_path, capsys, command, source, code, error):
     ({"primitives": [{"type": "shear_x", "profile": {
         "kind": "pl_table", "xs": [0, 0.5], "ys": [0, math.inf]}}]},
      ("primitive 0", "pl_table knots and values must be finite")),
+    # a real parameter is a JSON number: no bool, no numeric string
+    ({"primitives": [{"type": "translation", "v": [True, "0.5"]}]},
+     ("primitive 0", "'v'", "translation vector must be a number")),
+    ({"primitives": [{"type": "shear_x", "profile": {"kind": "sin2"},
+                      "strength": "1e-1"}]},
+     ("primitive 0", "'strength'", "shear strength must be a number")),
+    ({"primitives": [{"type": "custom", "name": "denjoy_parabolic",
+                      "params": {"eps": "0.5"}}]},
+     ("primitive 0", "'params'", "bump amplitude must be a number")),
+    ({"primitives": [{"type": "custom", "name": "fiber_drift",
+                      "params": {"amp": True, "time": 0.1}}]},
+     ("primitive 0", "'params'", "fiber drift amp must be a number")),
+    ({"primitives": [{"type": "shear_x", "profile": {
+        "kind": "pl_table", "xs": [0, "0.5"], "ys": [0, 1]}}]},
+     ("primitive 0", "bad parameters for profile 'pl_table'",
+      "pl_table knots and values must be a number")),
+    ({"primitives": [{"type": "shear_x", "profile": {
+        "kind": "bump", "a": False, "b": True}}]},
+     ("primitive 0", "bad parameters for profile 'bump'",
+      "bump support must be a number")),
 ], ids=["missing_profile", "strength_not_a_number", "missing_matrix",
         "unknown_custom_parameter", "k_max_not_integral", "top_level_list",
         "matrix_extra_row", "pl_table_values_not_numbers",
-        "pl_table_knot_nan", "pl_table_value_infinite"])
+        "pl_table_knot_nan", "pl_table_value_infinite",
+        "translation_bool", "strength_string", "denjoy_eps_string",
+        "fiber_drift_amp_bool", "pl_table_knot_string", "bump_bools"])
 def test_malformed_map_spec_is_an_input_error(tmp_path, capsys, spec, names):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(spec))

@@ -24,9 +24,17 @@ from torusdyn.errors import (  # noqa: E402
     InputError,
     MalformedCurveError,
     NonGenericError,
+    ResolutionError,
 )
 from torusdyn.gallery import build_map  # noqa: E402
-from torusdyn.maps import Linear, LiftedMap, Translation  # noqa: E402
+from torusdyn.maps import (  # noqa: E402
+    Linear,
+    LiftedMap,
+    ShearX,
+    Translation,
+    conjugate,
+)
+from torusdyn.profiles import Sin2  # noqa: E402
 from torusdyn.curves import (  # noqa: E402
     CurveOrbit,
     CurvePair,
@@ -429,6 +437,27 @@ def test_image_curve_transversality_retry():
     F = build_map("shear_segment").map
     b = image_curve(F, a, res=16, reference=a)
     assert all(i.transverse for i in intersections(b, a))
+
+
+def test_pair_tries_the_image_and_one_shift(monkeypatch):
+    """A shear conjugated to class (2, 1) maps every line of that class
+    to itself, and the sampled image of the (2, 1) line is that line:
+    the image and its one shift both run along the reference, so pair
+    raises after exactly two transversality tests."""
+    F = conjugate(LiftedMap((ShearX(Sin2(), 1.0),)), ((2, 1), (1, 1)))
+    a = straight_curve((2, 1))
+    tests = []
+    transverse = CurvePair.transverse
+
+    def counted(self):
+        tests.append(self)
+        return transverse(self)
+
+    monkeypatch.setattr(CurvePair, "transverse", counted)
+    with pytest.raises(ResolutionError,
+                       match="could not place the image curve"):
+        CurveOrbit(F, a, 16).pair(1, a)
+    assert len(tests) == 2
 
 
 BENT = PLCurve(((Fraction(0), F14), (F12, Fraction(1, 3))), (1, 0))

@@ -4,7 +4,8 @@ No linter runs on the package, so these scans stand in for the unused
 import and dead code checks.  A name bound by a module-level import must
 be read as a name somewhere in the module; __init__.py re-exports and is
 skipped.  A module-level function or a method must be referred to
-somewhere in the package, the tests or the benchmark.
+somewhere in the package, the tests or the benchmark, and so must a
+name assigned at module level.
 
 The scan matches names only, not the class a method belongs to: a
 method counts as used as soon as any call names a method of the same
@@ -85,6 +86,54 @@ def test_no_unreferenced_functions():
         if name not in refs
     ]
     assert not dead, "unreferenced functions: " + ", ".join(dead)
+
+
+def assigned_names(tree) -> list:
+    """Non-dunder names bound by module-level assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names += [
+            n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)
+            and not (n.id.startswith("__") and n.id.endswith("__"))
+        ]
+    return names
+
+
+def read_names(tree) -> set:
+    """Names read as a name, an attribute or an import."""
+    reads = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            reads.add(n.attr)
+        elif isinstance(n, ast.alias):
+            reads.add(n.name)
+    return reads
+
+
+def test_no_unread_module_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    sources = [p for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert modules and sources
+    reads = set()
+    for p in sources:
+        reads |= read_names(ast.parse(p.read_text(encoding="utf-8")))
+    dead = [
+        f"{p.name}: {name}"
+        for p in modules
+        for name in assigned_names(ast.parse(p.read_text(encoding="utf-8")))
+        if name not in reads
+    ]
+    assert not dead, "unread module-level names: " + ", ".join(dead)
 
 
 def test_oracles_import_nothing_from_the_package():
